@@ -13,15 +13,15 @@ The package groups four toolboxes that feed each other:
 * the chain of reductions connecting all of the above to simulation on
   succinct one-counter nets (:mod:`~ocn_gamelab.reductions`), and the
   plane-coloring machinery that decides that simulation with checkable
-  belt certificates (:mod:`~ocn_gamelab.ocnsim`).
+  belt certificates (:mod:`~ocn_gamelab.ocnsim`, whose single pipeline
+  from colorings to a verified certificate is ``certify_colorings``).
 
 JSON input/output lives in :mod:`~ocn_gamelab.documents`, images in
 :mod:`~ocn_gamelab.render`, and the ``ocn-gamelab`` entry point in
 :mod:`~ocn_gamelab.cli`.
 """
 
-from .countdown import (CountdownGame, EcgAnswer, LevelWindow, solve_cg, solve_ecg,
-                        win_levels_stream)
+from .countdown import CountdownGame, EcgAnswer, solve_cg, solve_ecg, win_levels_stream
 from .documents import (CertificateDoc, DocumentError, InputDocument, net_sha256,
                         parse_document, serialize_document)
 from .lts import (Lts, LtsError, bounded_attacker_search, disjoint_union,
@@ -29,10 +29,10 @@ from .lts import (Lts, LtsError, bounded_attacker_search, disjoint_union,
 from .ocnsim import (INF, BeltCertificate, BeltFit, Frontier, InvariantError,
                      MalformedCertificateError, PlaneBelt, PlaneColoring,
                      ResourceGuardError, SimDecision, TravelResult, TravelStep,
-                     UnstableFitError, build_certificate, classify_and_fit,
-                     color_planes, decide_sim, detect_belt_period, frontier,
-                     trace_vector_travel, verify_certificate,
-                     verify_certificate_explain)
+                     UnstableFitError, belt_periods, build_certificate,
+                     certify_colorings, classify_and_fit, color_planes, decide_sim,
+                     detect_belt_period, frontier, trace_vector_travel,
+                     verify_certificate, verify_certificate_explain)
 from .reductions import (MimickingLts, dedup_rules, ecg_to_socnrg,
                          edge_action, rgame_to_mimicking_lts,
                          seqdesc_to_countdown, socnrgame_to_socn)
@@ -51,15 +51,16 @@ __all__ = [
     "ADAM", "EVE", "INF",
     "BeltCertificate", "BeltFit", "CertificateDoc", "Config", "CountdownGame",
     "DocumentError", "EcgAnswer", "EgspAnswer", "Frontier", "GameError",
-    "InputDocument", "InvariantError", "LevelWindow", "Lts", "LtsError",
+    "InputDocument", "InvariantError", "Lts", "LtsError",
     "MalformedCertificateError", "MimickingLts", "NetError", "PeriodAnswer",
     "PlaneBelt", "PlaneColoring", "RGame", "RenderError", "RenderSpec",
     "ResourceGuardError", "Rule", "SeqDescription", "SeqError", "SimDecision",
     "Socn", "SocnRGame", "TravelResult", "TravelStep", "TuringMachine",
     "UnstableFitError", "WinningArea",
-    "bounded_attacker_search", "build_certificate", "classify_and_fit",
-    "color_planes", "config_oracle", "decide_egsp", "decide_gsp", "decide_sim",
-    "dedup_rules", "detect_belt_period", "disjoint_union",
+    "belt_periods", "bounded_attacker_search", "build_certificate",
+    "certify_colorings", "classify_and_fit", "color_planes", "config_oracle",
+    "decide_egsp", "decide_gsp", "decide_sim", "dedup_rules", "detect_belt_period",
+    "disjoint_union",
     "doubleexp_period_instance", "ecg_to_socnrg", "edge_action", "eval_at",
     "eval_prefix",
     "expand_region", "find_period", "fit_summary", "frontier", "head_symbol",

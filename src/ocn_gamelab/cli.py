@@ -3,8 +3,10 @@
 Subcommands mirror the library surface: countdown and existential
 countdown solving, sequence description queries, the constructive
 reductions, simulation checking with belt certificates, and plane
-rendering.  Documents are the strict JSON formats of the documents
-module.
+rendering.  ``sim check`` and ``sim certify`` build certificates only
+through ``ocnsim.certify_colorings``, and ``sim belts`` reads the same
+fits and periods from ``ocnsim.belt_periods``.  Documents are the
+strict JSON formats of the documents module.
 
 Exit codes: 0 success or positive decision, 1 negative decision,
 2 inconclusive or unknown, 3 input error, 4 resource guard.  The
@@ -22,8 +24,8 @@ from pathlib import Path
 from .countdown import solve_cg, solve_ecg
 from .documents import (CertificateDoc, DocumentError, InputDocument, net_sha256,
                         parse_document, serialize_document)
-from .ocnsim import (INF, ResourceGuardError, UnstableFitError, build_certificate,
-                     classify_and_fit, color_planes, detect_belt_period, decide_sim,
+from .ocnsim import (INF, ResourceGuardError, UnstableFitError, belt_periods,
+                     certify_colorings, classify_and_fit, color_planes, decide_sim,
                      frontier, verify_certificate_explain)
 from .reductions import (ecg_to_socnrg, rgame_to_mimicking_lts, seqdesc_to_countdown,
                          socnrgame_to_socn)
@@ -255,26 +257,19 @@ def cmd_sim_plane(args) -> int:
 
 def cmd_sim_belts(args) -> int:
     net = _load(args.net, "socn")
-    colorings = _colorings(net, args)
-    frontiers = {plane: frontier(col) for plane, col in colorings.items()}
     try:
-        fits = classify_and_fit(frontiers)
+        fits, periods = belt_periods(_colorings(net, args))
     except UnstableFitError as exc:
         print(f"UNSTABLE ({exc})")
         return EXIT_INCONCLUSIVE
-    missing = []
     for plane in sorted(fits):
-        fit = fits[plane]
-        line = f"({plane[0]},{plane[1]}) {fit_summary(fit)}"
-        if fit.kind == "SF":
-            period = detect_belt_period(colorings[plane], fit)
-            if period is None:
-                line += " period=?"
-                missing.append(plane)
-            else:
-                line += f" period=({period[0]},{period[1]})"
+        line = f"({plane[0]},{plane[1]}) {fit_summary(fits[plane])}"
+        if plane in periods:
+            period = periods[plane]
+            line += (" period=?" if period is None
+                     else f" period=({period[0]},{period[1]})")
         print(line)
-    return EXIT_INCONCLUSIVE if missing else EXIT_OK
+    return EXIT_INCONCLUSIVE if None in periods.values() else EXIT_OK
 
 
 def cmd_sim_certify(args) -> int:
@@ -295,30 +290,21 @@ def cmd_sim_certify(args) -> int:
     if not args.out:
         raise DocumentError("pass --out to build a certificate or --cert to "
                             "verify an existing one")
-    colorings = _colorings(net, args)
-    frontiers = {plane: frontier(col) for plane, col in colorings.items()}
-    try:
-        fits = classify_and_fit(frontiers)
-    except UnstableFitError as exc:
-        print(f"UNSTABLE ({exc})")
+    decision = certify_colorings(net, _colorings(net, args))
+    diagnostics = decision.diagnostics
+    if "unstable_fit" in diagnostics:
+        print(f"UNSTABLE ({diagnostics['unstable_fit']})")
         return EXIT_INCONCLUSIVE
-    periods = {}
-    for plane in sorted(fits):
-        if fits[plane].kind != "SF":
-            continue
-        period = detect_belt_period(colorings[plane], fits[plane])
-        if period is None:
-            print(f"PERIOD NOT FOUND for plane ({plane[0]},{plane[1]})")
-            return EXIT_INCONCLUSIVE
-        periods[plane] = period
-    certificate = build_certificate(colorings, periods)
-    ok, failures = verify_certificate_explain(net, certificate)
-    if not ok:
-        for line in failures:
+    if "period_not_found" in diagnostics:
+        p, q = diagnostics["period_not_found"]
+        print(f"PERIOD NOT FOUND for plane ({p},{q})")
+        return EXIT_INCONCLUSIVE
+    if decision.kind != "yes":
+        for line in diagnostics["verification_failures"]:
             print(f"  {line}")
         print("UNVERIFIED")
         return EXIT_INCONCLUSIVE
-    doc = CertificateDoc(certificate=certificate, net_sha256=net_sha256(net))
+    doc = CertificateDoc(certificate=decision.certificate, net_sha256=net_sha256(net))
     _emit("certificate", doc, args.out, ["VERIFIED"])
     return EXIT_OK
 

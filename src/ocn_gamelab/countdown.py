@@ -1,20 +1,25 @@
-"""Countdown game solvers streaming level sets through a sliding window.
+"""Countdown game solvers streaming level sets through a sliding segment.
 
 In a countdown game every rule strictly decreases the counter, so the
 set W(j) of control states winning for Eve at counter value j depends
 only on the previous M levels, where M is the largest decrement.  The
-solvers below stream W(0), W(1), W(2), ... keeping just that window:
-membership of p0 in W(n0) answers the countdown game, and a repeat of
-the M-level segment without p0 ever appearing answers the existential
-variant negatively (the level stream is eventually periodic, so a
-clean segment repeat proves p0 never wins).  The theoretical repeat
-bound M + 2^(|Q|*M) is astronomically larger than desk instances need.
+solvers below stream W(0), W(1), W(2), ... keeping just the segment
+(W(j-w), ..., W(j-1)) of the last w = max(M, 1) levels, as a tuple
+whose slots for levels below 0 hold None.  One recurrence,
+:func:`_next_segment`, advances that tuple by a level; a rule into a
+None slot is disabled, so the same code covers the first levels, where
+enabledness still depends on j, and every later one.  Membership of p0
+in W(n0) answers the countdown game, and a repeat of the segment
+without p0 ever appearing answers the existential variant negatively
+(the level stream is eventually periodic, so a clean segment repeat
+proves p0 never wins).  The theoretical repeat bound M + 2^(|Q|*M) is
+astronomically larger than desk instances need.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from .rgame import EVE, GameError, SocnRGame
 
@@ -35,77 +40,54 @@ class CountdownGame(SocnRGame):
         return max((-z for _, z, _ in self.rules), default=0)
 
 
-@dataclass
-class LevelWindow:
-    """Ring buffer of the most recent level sets.
+def _next_segment(game: CountdownGame, segment: tuple) -> tuple:
+    """Advance the level segment by one level: the single recurrence.
 
-    Holds W(j-width .. j-1) as frozensets, where j is the index of the
-    next level to be produced.  Width is min(M, j); lookups outside the
-    retained range raise, which would indicate a solver bug.
+    ``segment`` is (W(j-w), ..., W(j-1)) with w = max(M, 1), and None in
+    the slots of levels below 0; a rule into such a slot is disabled.
+    A state q is in W(j) iff q is Eve's and some enabled rule (q,z,q')
+    lands in W(j+z), or q is Adam's, has at least one enabled rule, and
+    every enabled rule lands in the corresponding winning set.  An Adam
+    state with no enabled rule is not winning (stalemate favours Adam
+    unless the target configuration is already reached).  Returns
+    (W(j-w+1), ..., W(j)).
     """
+    w = len(segment)
+    won = set()
+    for q in game.states:
+        eve = game.owner(q) == EVE
+        enabled = 0
+        good = 0
+        for z, to in game.rules_from(q):
+            level = segment[w + z]
+            if level is None:
+                continue
+            enabled += 1
+            if to in level:
+                good += 1
+                if eve:
+                    break
+        if (eve and good) or (not eve and enabled and enabled == good):
+            won.add(q)
+    return segment[1:] + (frozenset(won),)
 
-    width: int
-    levels: deque
-    j: int
 
-    @classmethod
-    def start(cls, width: int) -> "LevelWindow":
-        return cls(width, deque(maxlen=max(width, 1)), 0)
-
-    def push(self, level: frozenset):
-        self.levels.append(level)
-        self.j += 1
-
-    def get(self, i: int) -> frozenset:
-        offset = i - (self.j - len(self.levels))
-        if not 0 <= offset < len(self.levels):
-            raise IndexError(f"level {i} outside window at j={self.j}")
-        return self.levels[offset]
-
-    def segment(self) -> tuple:
-        """The last ``width`` levels as a hashable tuple (needs j >= width)."""
-        return tuple(self.levels)[-self.width:] if self.width else ()
+def _segments(game: CountdownGame):
+    """Yield (j, segment ending in W(j)) for j = 0, 1, 2, ..."""
+    segment = (None,) * (max(game.max_decrement, 1) - 1) + (frozenset({game.target}),)
+    for j in count():
+        yield j, segment
+        segment = _next_segment(game, segment)
 
 
 def win_levels_stream(game: CountdownGame):
-    """Yield (j, W(j)) in increasing j, keeping only an M-level window.
+    """Yield (j, W(j)) in increasing j, keeping only an M-level segment.
 
-    W(0) contains exactly the target state.  For j >= 1 a state q is in
-    W(j) iff q is Eve's and some rule (q,z,q') with j+z >= 0 lands in
-    W(j+z), or q is Adam's, has at least one enabled rule at level j,
-    and every enabled rule lands in the corresponding winning set.  An
-    Adam state with no enabled rule is not winning (stalemate favours
-    Adam unless the target configuration is already reached).
+    W(0) contains exactly the target state; every later level comes
+    from the recurrence in :func:`_next_segment`.
     """
-    m = game.max_decrement
-    window = LevelWindow.start(m)
-    level0 = frozenset({game.target})
-    yield 0, level0
-    window.push(level0)
-    while True:
-        j = window.j
-        won = set()
-        for q in game.states:
-            eve = game.owner(q) == EVE
-            enabled = 0
-            good = 0
-            for z, to in game.rules_from(q):
-                if j + z < 0:
-                    continue
-                enabled += 1
-                if to in window.get(j + z):
-                    good += 1
-                    if eve:
-                        break
-            if eve:
-                if good:
-                    won.add(q)
-            else:
-                if enabled and enabled == good:
-                    won.add(q)
-        level = frozenset(won)
-        yield j, level
-        window.push(level)
+    for j, segment in _segments(game):
+        yield j, segment[-1]
 
 
 def solve_cg(game: CountdownGame, p0: str, n0: int) -> bool:
@@ -151,71 +133,37 @@ def solve_ecg(game: CountdownGame, p0: str, cap: int | None = None,
         raise GameError(f"unknown state {p0!r}")
     if low_memory:
         return _solve_ecg_brent(game, p0, cap)
-    m = game.max_decrement
     # For j < record_from the segment is not yet j-independent
     # (enabledness thresholds still bite), so recording starts after it.
-    record_from = max(m - 1, 1)
+    record_from = max(game.max_decrement - 1, 1)
     seen: dict[tuple, int] = {}
-    window = LevelWindow.start(m)
-    for j, level in win_levels_stream(game):
-        if p0 in level:
+    for j, segment in _segments(game):
+        if p0 in segment[-1]:
             return EcgAnswer("yes", n=j)
         if cap is not None and j >= cap:
             return EcgAnswer("inconclusive", cap=cap)
-        window.push(level)
         if j >= record_from:
-            seg = window.segment()
-            first = seen.get(seg)
+            first = seen.get(segment)
             if first is not None:
                 return EcgAnswer("no", repeat=(first, j))
-            seen[seg] = j
+            seen[segment] = j
     raise AssertionError("unreachable")
 
 
-def _next_level(game: CountdownGame, segment: tuple) -> tuple:
-    """Advance the segment orbit one level, valid once all rules are enabled.
-
-    For level indices j > M every rule satisfies j+z >= 0, so the next
-    level is a pure function of the last M levels; segment[-1] is level
-    j-1 and segment[k] is level j - M + k.
-    """
-    m = game.max_decrement
-    won = set()
-    for q in game.states:
-        eve = game.owner(q) == EVE
-        rules = game.rules_from(q)
-        if not rules:
-            continue
-        good = 0
-        for z, to in rules:
-            if to in segment[m + z]:
-                good += 1
-                if eve:
-                    break
-        if (eve and good) or (not eve and good == len(rules)):
-            won.add(q)
-    return segment[1:] + (frozenset(won),) if m else ()
-
-
 def _solve_ecg_brent(game: CountdownGame, p0: str, cap: int | None) -> EcgAnswer:
-    m = game.max_decrement
-    # Prefix pass with j-dependent enabledness; x0 is the segment at level s0.
-    s0 = max(m, 1)
-    window = LevelWindow.start(m)
-    for j, level in win_levels_stream(game):
-        if p0 in level:
+    # Prefix pass up to level s0; x0 is the segment ending there.
+    s0 = max(game.max_decrement, 1)
+    for j, x0 in _segments(game):
+        if p0 in x0[-1]:
             return EcgAnswer("yes", n=j)
         if cap is not None and j >= cap:
             return EcgAnswer("inconclusive", cap=cap)
-        window.push(level)
         if j == s0:
             break
-    x0 = window.segment()
 
     def advance(seg: tuple, j: int) -> tuple[tuple, int] | EcgAnswer:
-        nxt = _next_level(game, seg)
-        latest = nxt[-1] if m else frozenset()
-        if p0 in latest:
+        nxt = _next_segment(game, seg)
+        if p0 in nxt[-1]:
             return EcgAnswer("yes", n=j + 1)
         if cap is not None and j + 1 >= cap:
             return EcgAnswer("inconclusive", cap=cap)
@@ -242,13 +190,13 @@ def _solve_ecg_brent(game: CountdownGame, p0: str, cap: int | None) -> EcgAnswer
     ahead = x0
     ahead_j = s0
     for _ in range(lam):
-        ahead = _next_level(game, ahead)
+        ahead = _next_segment(game, ahead)
         ahead_j += 1
     back = x0
     back_j = s0
     while back != ahead:
-        back = _next_level(game, back)
+        back = _next_segment(game, back)
         back_j += 1
-        ahead = _next_level(game, ahead)
+        ahead = _next_segment(game, ahead)
         ahead_j += 1
     return EcgAnswer("no", repeat=(back_j, ahead_j))

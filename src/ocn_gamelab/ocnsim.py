@@ -10,9 +10,12 @@ distance r * Dmax.
 Black cells of an interior are never asserted to be truly black; they
 are candidates.  The honest positive answers come from certificates:
 a periodic frontier description per plane whose black region is closed
-under the one-step simulation game, hence a simulation.  The decision
-procedure refutes with the exact attacker rank, certifies with a
-verified certificate, or says Unknown.
+under the one-step simulation game, hence a simulation.  One pipeline,
+:func:`certify_colorings`, turns colorings into such a certificate:
+fit the frontiers and detect the belt periods (:func:`belt_periods`),
+build the certificate, and verify it.  The decision procedure refutes
+with the exact attacker rank, certifies with a verified certificate
+from that pipeline, or says Unknown.
 
 All belt geometry uses exact rational arithmetic.
 """
@@ -63,8 +66,8 @@ class PlaneColoring:
 
     ``white[m,n]`` is 0 for a black candidate and r >= 1 when the
     attacker wins from (p(m), q(n)) in exactly r rounds.  Only the
-    interior [0,R) x [0,R) is exact for ranks up to K; the padding up
-    to ``grid`` absorbs boundary effects.
+    interior [0,R) x [0,R) is exact for ranks up to K; the padding
+    beyond it absorbs boundary effects.
     """
 
     p: str
@@ -74,26 +77,13 @@ class PlaneColoring:
     rank_bound: int
     max_delta: int
 
-    @property
-    def grid(self) -> int:
-        return self.white.shape[0]
-
     def interior_view(self) -> np.ndarray:
         r = self.interior
         return self.white[:r, :r]
 
-    def is_white(self, m: int, n: int) -> bool:
-        return bool(self.white[m, n] > 0)
-
     def rank(self, m: int, n: int) -> int | None:
         r = int(self.white[m, n])
         return r if r > 0 else None
-
-    def cell_exact(self, m: int, n: int, r: int) -> bool:
-        """Whether round-r information at (m,n) is unaffected by the grid edge."""
-        reach = r * max(self.max_delta, 0)
-        g = self.grid
-        return m + reach <= g - 1 and n + reach <= g - 1
 
 
 def _shift_bool(a: np.ndarray, dm: int, dn: int) -> np.ndarray:
@@ -510,6 +500,10 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
       largest delta (transfers upward because membership at fixed m is
       monotone in n), plus, for unbounded m, a defender response into
       an infinite row of the target plane.
+
+    Raises ResourceGuardError when the rows to check, (H+L) times the
+    number of planes, exceed DEFAULT_CELL_BUDGET: an untrusted
+    certificate can make L astronomically large.
     """
     _validate_certificate(net, cert)
     failures = []
@@ -519,6 +513,11 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
         if belt.kind == "SF":
             lcm = lcm * belt.period[1] // math.gcd(lcm, belt.period[1])
     horizon = h + lcm
+    rows = horizon * len(cert.planes)
+    if rows > DEFAULT_CELL_BUDGET:
+        raise ResourceGuardError(
+            f"verification needs {rows} rows ({len(cert.planes)} planes, height {h}, "
+            f"period lcm {lcm}), budget is {DEFAULT_CELL_BUDGET}")
     dmax = net.max_delta
 
     def in_b(p: str, m: int, q: str, n: int) -> bool:
@@ -603,13 +602,54 @@ def verify_certificate(net: Socn, cert: BeltCertificate) -> bool:
 
 @dataclass
 class SimDecision:
-    """Outcome of decide_sim: "no" with the exact attacker rank, "yes"
-    with a verified certificate, or "unknown" with diagnostics."""
+    """Outcome of decide_sim and certify_colorings: "no" with the exact
+    attacker rank, "yes" with a verified certificate, or "unknown" with
+    diagnostics."""
 
     kind: str
     rank: int | None = None
     certificate: BeltCertificate | None = None
     diagnostics: dict = field(default_factory=dict)
+
+
+def belt_periods(colorings: dict) -> tuple[dict, dict]:
+    """Fit every plane's frontier and detect the period of each SF plane.
+
+    Returns (fits, periods): ``periods`` maps every SF plane to its
+    period vector, or to None when the view holds no full period.
+    Raises UnstableFitError when some frontier fits no belt.
+    """
+    fits = classify_and_fit({plane: frontier(col) for plane, col in colorings.items()})
+    periods = {plane: detect_belt_period(colorings[plane], fit)
+               for plane, fit in sorted(fits.items()) if fit.kind == "SF"}
+    return fits, periods
+
+
+def certify_colorings(net: Socn, colorings: dict) -> SimDecision:
+    """The belt-certificate pipeline on a net's plane colorings.
+
+    Fits the frontiers, detects the belt periods, builds the periodic
+    certificate and verifies it.  "yes" carries the verified
+    certificate; "unknown" names the first stage that failed in its
+    diagnostics: ``unstable_fit``, ``period_not_found`` (the first such
+    plane) or ``verification_failures``.
+    """
+    try:
+        fits, periods = belt_periods(colorings)
+    except UnstableFitError as exc:
+        return SimDecision("unknown", diagnostics={"unstable_fit": str(exc)})
+    diagnostics = {"fits": fits}
+    missing = [plane for plane, period in periods.items() if period is None]
+    if missing:
+        diagnostics["period_not_found"] = missing[0]
+        return SimDecision("unknown", diagnostics=diagnostics)
+    diagnostics["periods"] = periods
+    cert = build_certificate(colorings, periods)
+    ok, failures = verify_certificate_explain(net, cert)
+    if not ok:
+        diagnostics["verification_failures"] = failures
+        return SimDecision("unknown", diagnostics=diagnostics)
+    return SimDecision("yes", certificate=cert, diagnostics=diagnostics)
 
 
 def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
@@ -619,9 +659,8 @@ def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
     """Does q(n) simulate p(m)?  Sound in both directions, else Unknown.
 
     The refutation direction searches the simulation game exactly up to
-    ``budget`` rounds.  The positive direction colors the planes,
-    classifies the frontiers, detects belt periods, and builds and
-    verifies a periodic certificate; Yes only when the verified
+    ``budget`` rounds.  The positive direction colors the planes and
+    runs :func:`certify_colorings` on them; Yes only when the verified
     certificate covers the queried cell.
     """
     if p not in set(net.states) or q not in set(net.states):
@@ -637,34 +676,12 @@ def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
                                     (Config(p, m), Config(q, n)), budget)
         if r is not None:
             return SimDecision("no", rank=r)
-    diagnostics = {}
-    colorings = color_planes(net, rank_bound, view, cell_budget=cell_budget)
-    frontiers = {plane: frontier(col) for plane, col in colorings.items()}
-    try:
-        fits = classify_and_fit(frontiers)
-    except UnstableFitError as exc:
-        diagnostics["unstable_fit"] = str(exc)
-        return SimDecision("unknown", diagnostics=diagnostics)
-    diagnostics["fits"] = fits
-    periods = {}
-    for plane, fit in sorted(fits.items()):
-        if fit.kind != "SF":
-            continue
-        period = detect_belt_period(colorings[plane], fit)
-        if period is None:
-            diagnostics["period_not_found"] = plane
-            return SimDecision("unknown", diagnostics=diagnostics)
-        periods[plane] = period
-    diagnostics["periods"] = periods
-    cert = build_certificate(colorings, periods)
-    ok, failures = verify_certificate_explain(net, cert)
-    if not ok:
-        diagnostics["verification_failures"] = failures
-        return SimDecision("unknown", diagnostics=diagnostics)
-    if cert.covers(p, m, q, n):
-        return SimDecision("yes", certificate=cert, diagnostics=diagnostics)
-    diagnostics["uncovered"] = (p, m, q, n)
-    return SimDecision("unknown", diagnostics=diagnostics)
+    decision = certify_colorings(
+        net, color_planes(net, rank_bound, view, cell_budget=cell_budget))
+    if decision.kind == "yes" and not decision.certificate.covers(p, m, q, n):
+        decision.diagnostics["uncovered"] = (p, m, q, n)
+        return SimDecision("unknown", diagnostics=decision.diagnostics)
+    return decision
 
 
 # ---------------------------------------------------------------------------

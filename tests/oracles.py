@@ -6,9 +6,12 @@ package must agree with these on small instances; none of this code
 shares logic with the implementation under test.
 """
 
-from ocn_gamelab import (ADAM, EVE, Config, CountdownGame, Lts, RGame,
-                         SeqDescription, SocnRGame, head_symbol, successors,
-                         winning_area)
+import contextlib
+import signal
+
+from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, Lts,
+                         PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
+                         head_symbol, successors, winning_area)
 
 # ---------------------------------------------------------------------------
 # Relation oracles
@@ -340,6 +343,34 @@ def random_seqdesc(rng, max_extra: int = 2, m_lo: int = 3,
         rules[triple] = rng.choice(alphabet)
     default = rng.choice(alphabet)
     return SeqDescription(alphabet, "#", " ", rules, default, m)
+
+
+def prime_period_certificate():
+    """A 4-state net and a well-formed 60-row certificate for it whose 16
+    SF planes have the prime periods 2..53.  Their lcm puts the
+    verification horizon at about 3.3e19 rows."""
+    states = ("s0", "s1", "s2", "s3")
+    net = Socn(states=states, actions=("a",),
+               rules=tuple(Rule(s, "a", -1, s) for s in states))
+    primes = [p for p in range(2, 54) if all(p % d for d in range(2, p))]
+    planes = [(p, q) for p in states for q in states]
+    cert = BeltCertificate(60, {plane: PlaneBelt("SF", list(range(60)), period=(k, k))
+                                for plane, k in zip(planes, primes, strict=True)})
+    return net, cert
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def mimicking_bisim_witness(game: RGame, ml, losing: set) -> set:

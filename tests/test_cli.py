@@ -1,12 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from ocn_gamelab import (CountdownGame, InputDocument, Rule, SeqDescription,
-                         Socn, TuringMachine, parse_document,
-                         serialize_document)
+from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Rule,
+                         SeqDescription, Socn, TuringMachine, net_sha256,
+                         parse_document, serialize_document)
 from ocn_gamelab.cli import main
+
+from oracles import prime_period_certificate, time_limit
 
 BLANK = " "
 
@@ -227,6 +230,19 @@ def test_sim_certify_rejects_overclaiming_certificate(capsys, drain_net_doc,
     assert out.rstrip().endswith("REJECTED")
 
 
+def test_sim_certify_guards_unbounded_verification(capsys, tmp_path):
+    net, cert = prime_period_certificate()
+    net_path = write_doc(tmp_path / "net.json", "socn", net)
+    cert_path = write_doc(tmp_path / "cert.json", "certificate",
+                          CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))
+    with time_limit(1.0):
+        code, out, err = run(capsys, "sim", "certify", "--net", net_path,
+                             "--cert", cert_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: verification needs ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_render_plane_golden(capsys, tmp_path):
     net = Socn(states=("p", "q"), actions=("a",),
                rules=(Rule("p", "a", -1, "p"), Rule("q", "a", 0, "q")))
@@ -288,3 +304,100 @@ def test_cell_budget_guard(capsys, drain_net_doc, monkeypatch):
     monkeypatch.setenv("OCN_GAMELAB_CELL_BUDGET", "lots")
     code, _, err = run(capsys, "sim", "belts", "--net", drain_net_doc)
     assert code == 3 and "expected an integer" in err
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs of the certificate pipeline's inconclusive branches.  Both
+# nets are small enough to pin every printed line at view 8.
+
+def three_state_net(rules):
+    return Socn(states=("p0", "p1", "p2"), actions=("a", "b"),
+                rules=tuple(Rule(*r) for r in rules))
+
+
+@pytest.fixture
+def no_period_net_doc(tmp_path):
+    # Plane (p1,p2) has a slope-2/3 fit but no belt period inside the view.
+    net = three_state_net([("p0", "a", 0, "p1"), ("p1", "a", 2, "p0"),
+                           ("p1", "b", -1, "p0"), ("p2", "a", -2, "p0"),
+                           ("p1", "b", -2, "p2"), ("p2", "b", -1, "p0")])
+    return write_doc(tmp_path / "no_period.json", "socn", net)
+
+
+@pytest.fixture
+def unverified_net_doc(tmp_path):
+    # Every SF period is found, but the certificate fails its closure check.
+    net = three_state_net([("p1", "b", 1, "p2"), ("p2", "a", -1, "p2"),
+                           ("p1", "a", -2, "p1"), ("p1", "a", -2, "p2"),
+                           ("p2", "a", 2, "p1"), ("p1", "a", 2, "p0")])
+    return write_doc(tmp_path / "unverified.json", "socn", net)
+
+
+UNVERIFIED_FAILURES = [
+    "plane ('p1', 'p1') row 8: frontier cell m=8, rule (p1,a,-2,p1) unanswered",
+    "plane ('p1', 'p1') row 8: frontier cell m=8, rule (p1,a,-2,p2) unanswered",
+    "plane ('p2', 'p1') row 8: frontier cell m=4, rule (p2,a,-1,p2) unanswered",
+    "plane ('p2', 'p1') row 8: frontier cell m=4, rule (p2,a,2,p1) unanswered",
+]
+
+
+def test_golden_period_not_found(capsys, no_period_net_doc, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "sim", "certify", "--net", no_period_net_doc,
+               "--out", str(cert_path), "--view", "8") == (
+        2, "PERIOD NOT FOUND for plane (p1,p2)\n", "")
+    assert not cert_path.exists()
+    assert run(capsys, "sim", "belts", "--net", no_period_net_doc,
+               "--view", "8") == (2, (
+        "(p0,p0) SF alpha=1 band=[0,0] period_hint=(1,1) step=2 period=(1,1)\n"
+        "(p0,p1) VF level=-1\n"
+        "(p0,p2) VF level=-1\n"
+        "(p1,p0) VF level=-1\n"
+        "(p1,p1) SF alpha=1 band=[0,0] period_hint=(1,1) step=2 period=(1,1)\n"
+        "(p1,p2) SF alpha=2/3 band=[-8/3,-2] period_hint=(2,3) step=5/2 period=?\n"
+        "(p2,p0) VF level=0\n"
+        "(p2,p1) SF alpha=1 band=[0,0] period_hint=(1,1) step=2 period=(1,1)\n"
+        "(p2,p2) SF alpha=1 band=[0,0] period_hint=(1,1) step=2 period=(1,1)\n"),
+        "")
+    assert run(capsys, "sim", "check", "--net", no_period_net_doc,
+               "--left", "p0:0", "--right", "p1:0", "--budget", "0",
+               "--view", "8") == (
+        2, "UNKNOWN\n", "  period_not_found: ('p1', 'p2')\n")
+
+
+def test_golden_unverified_certificate(capsys, unverified_net_doc, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "sim", "certify", "--net", unverified_net_doc,
+               "--out", str(cert_path), "--view", "8") == (
+        2, "".join(f"  {line}\n" for line in UNVERIFIED_FAILURES)
+        + "UNVERIFIED\n", "")
+    assert not cert_path.exists()
+    code, out, _ = run(capsys, "sim", "belts", "--net", unverified_net_doc,
+                       "--view", "8")
+    assert code == 0 and out.splitlines()[0] == "(p0,p0) HF inf_from=0"
+    assert run(capsys, "sim", "check", "--net", unverified_net_doc,
+               "--left", "p0:0", "--right", "p1:0", "--budget", "0",
+               "--view", "8") == (
+        2, "UNKNOWN\n", f"  verification_failures: {UNVERIFIED_FAILURES}\n")
+
+
+def test_golden_unstable_fit(capsys, no_period_net_doc, tmp_path, monkeypatch):
+    # No generated net has reached this branch: a monotone frontier that
+    # never saturates always fits VF or SF.  So the coloring is made by
+    # hand, with a frontier 0,0,0,0,1,3,4,1 that repeats with no vector.
+    from ocn_gamelab import PlaneColoring, cli
+    frontier_values = [0, 0, 0, 0, 1, 3, 4, 1]
+    white = np.ones((8, 8), dtype=np.int32)
+    for n, f in enumerate(frontier_values):
+        white[:f + 1, n] = 0
+    coloring = PlaneColoring("p0", "p0", white, 8, 16, 2)
+    monkeypatch.setattr(cli, "color_planes",
+                        lambda *args, **kwargs: {("p0", "p0"): coloring})
+    unstable = ("UNSTABLE (plane ('p0', 'p0'): no frontier repetition over "
+                "rows [4,8); enlarge the view)\n")
+    cert_path = tmp_path / "cert.json"
+    assert run(capsys, "sim", "certify", "--net", no_period_net_doc,
+               "--out", str(cert_path), "--view", "8") == (2, unstable, "")
+    assert not cert_path.exists()
+    assert run(capsys, "sim", "belts", "--net", no_period_net_doc,
+               "--view", "8") == (2, unstable, "")

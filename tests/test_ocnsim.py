@@ -6,13 +6,13 @@ import pytest
 
 from ocn_gamelab import (BeltCertificate, Config, MalformedCertificateError,
                          NetError, PlaneBelt, ResourceGuardError, Rule, Socn,
-                         bounded_attacker_search, build_certificate,
-                         classify_and_fit, color_planes, config_oracle,
+                         belt_periods, bounded_attacker_search, build_certificate,
+                         certify_colorings, classify_and_fit, color_planes, config_oracle,
                          decide_sim, detect_belt_period, frontier,
                          successors, trace_vector_travel, verify_certificate,
                          verify_certificate_explain)
 
-from oracles import random_unary_net
+from oracles import prime_period_certificate, random_unary_net, time_limit
 
 
 def drain_net():
@@ -93,6 +93,10 @@ def test_drain_certificate_verifies():
     assert verify_certificate(drain_net(), cert)
     assert cert.covers("p", 3, "q", 6)
     assert not cert.covers("p", 3, "q", 5)
+    # The pipeline entry point runs exactly these stages.
+    assert belt_periods(cols) == (fits, periods)
+    decision = certify_colorings(drain_net(), cols)
+    assert decision.kind == "yes" and decision.certificate == cert
 
 
 def test_steep_belt_survives_view_censoring():
@@ -232,6 +236,12 @@ def test_malformed_certificates_raise():
     with pytest.raises(MalformedCertificateError):
         verify_certificate(net, BeltCertificate(
             4, {("p", "q"): PlaneBelt("VF", [3, 2, 1, 0])}))
+
+
+def test_verification_horizon_is_guarded():
+    net, cert = prime_period_certificate()
+    with time_limit(1.0), pytest.raises(ResourceGuardError, match="verification needs"):
+        verify_certificate_explain(net, cert)
 
 
 def test_interior_monotone_on_random_nets():
