@@ -2,10 +2,10 @@
 
 Each pair of control states (p,q) spans a plane of cells (m,n), black
 when p(m) is simulated by q(n) and white otherwise.  White cells carry
-the rank at which the attacker wins.  The plane is computed bottom-up
-to a rank bound K on a grid padded by K * Dmax so that the reported
-interior is exact: a cell's rank-r status only depends on cells within
-distance r * Dmax.
+the rank at which the attacker wins.  Simulation is monotone in both
+counters, so each row is a staircase step, black up to a threshold in
+m; a plane is computed bottom-up to a rank bound K as one threshold
+per row, K * Dmax rows past the interior so that it is exact.
 
 Black cells of an interior are never asserted to be truly black; they
 are candidates.  The honest positive answers come from certificates:
@@ -62,12 +62,14 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class PlaneColoring:
-    """White ranks for one plane (p,q) on a padded grid.
+    """White ranks for one plane (p,q) on [0, R + K*Dmax)^2.
 
     ``white[m,n]`` is 0 for a black candidate and r >= 1 when the
-    attacker wins from (p(m), q(n)) in exactly r rounds.  Only the
-    interior [0,R) x [0,R) is exact for ranks up to K; the padding
-    beyond it absorbs boundary effects.
+    attacker wins from (p(m), q(n)) in exactly r rounds.  Ranks up to K
+    are exact on the interior [0,R)^2; in a row n < R + j*Dmax they are
+    exact up to K - j, which covers every cell a vector travel reads.
+    Each row is a staircase step: black on a prefix of m, white from
+    the row's threshold on.
     """
 
     p: str
@@ -86,17 +88,6 @@ class PlaneColoring:
         return r if r > 0 else None
 
 
-def _shift_bool(a: np.ndarray, dm: int, dn: int) -> np.ndarray:
-    """out[m,n] = a[m+dm, n+dn] where defined, False outside the grid."""
-    g = a.shape[0]
-    out = np.zeros_like(a)
-    m0, m1 = max(0, -dm), min(g, g - dm)
-    n0, n1 = max(0, -dn), min(g, g - dn)
-    if m0 < m1 and n0 < n1:
-        out[m0:m1, n0:n1] = a[m0 + dm:m1 + dm, n0 + dn:n1 + dn]
-    return out
-
-
 def _assert_interior_monotone(colorings: dict) -> None:
     # Black-cell monotonicity (smaller m, larger n stays black) must hold
     # cell-exactly on every exact interior; a violation is a solver bug.
@@ -112,11 +103,14 @@ def color_planes(net: Socn, rank_bound: int, view: int,
                  cell_budget: int | None = None) -> dict:
     """Rank-bounded coloring of every plane; interior [0,view)^2 is exact.
 
-    Starts all cells black and recolors to white rank by rank: at round
-    r a cell turns white when some enabled attacker rule has every
-    enabled defender response already white (out-of-grid targets count
-    as black, which is the conservative direction and is exactly what
-    the margin absorbs).  Stops early once a round changes nothing.
+    Each plane is a threshold vector over rows [0, view + K*Dmax): w_r(n)
+    is the least m white at rank <= r in row n.  Round r takes the min
+    over attacker rules of the max over enabled responses of
+    w_{r-1}(target)(n + dd) - da, floored at -da so the rule is enabled.
+    Rows past the end count as black, the conservative direction, which
+    the extra K*Dmax rows absorb; m needs no padding.  Stops early once a
+    round changes nothing.  Ranks are read off the threshold history on
+    the square of those rows.
     """
     if rank_bound < 1 or view < 1:
         raise NetError("rank_bound and view must be >= 1")
@@ -128,41 +122,38 @@ def color_planes(net: Socn, rank_bound: int, view: int,
         raise ResourceGuardError(
             f"coloring needs {cells} cells (grid {g}, {len(net.states)} states), "
             f"budget is {budget}")
-    white = {(p, q): np.zeros((g, g), dtype=np.int32)
-             for p in net.states for q in net.states}
-    mvec = np.arange(g).reshape(-1, 1)
-    nvec = np.arange(g).reshape(1, -1)
+    # Finite thresholds stay below g (a round adds at most Dmax); ``black``
+    # marks a row with no white cell.
+    black = 2 ** 62
+    w = {(p, q): np.full(g, black) for p in net.states for q in net.states}
+    # Row n turns white at rank r on [w_r(n), w_{r-1}(n)): kept on
+    # [0, g)^2 as +r/-r at the interval ends, summed along m at the end.
+    cols = np.arange(g)
+    steps = {pair: np.zeros((g + 1, g), dtype=np.int32) for pair in w}
+    # Responses from below row 0 are disabled; rows past the end are black.
+    low, high = np.full(dmax, -black), np.full(dmax, black)
     for r in range(1, rank_bound + 1):
-        newly = {}
-        changed = False
-        for p in net.states:
-            for q in net.states:
-                win = np.zeros((g, g), dtype=bool)
-                for ra in net.rules_from(p):
-                    move_ok = np.broadcast_to((mvec + ra.delta >= 0)
-                                              & (mvec + ra.delta < g), (g, g)).copy()
-                    if not move_ok.any():
-                        continue
-                    for rd in net.rules_from(q):
-                        if rd.action != ra.action:
-                            continue
-                        target_white = _shift_bool(
-                            white[(ra.to, rd.to)] > 0, ra.delta, rd.delta)
-                        disabled = nvec + rd.delta < 0
-                        move_ok &= target_white | disabled
-                        if not move_ok.any():
-                            break
-                    win |= move_ok
-                fresh = win & (white[(p, q)] == 0)
-                if fresh.any():
-                    newly[(p, q)] = fresh
-                    changed = True
-        if not changed:
+        padded = {pair: np.concatenate((low, t, high)) for pair, t in w.items()}
+        nxt = {}
+        for p, q in w:
+            best = w[(p, q)]
+            for ra in net.rules_from(p):
+                need = np.full(g, max(0, -ra.delta))
+                for rd in net.rules_from(q):
+                    if rd.action == ra.action:
+                        t = padded[(ra.to, rd.to)][dmax + rd.delta:][:g]
+                        need = np.maximum(need, t - ra.delta)
+                best = np.minimum(best, need)
+            nxt[(p, q)] = np.where(best < g, best, black)
+        if all(np.array_equal(nxt[pair], w[pair]) for pair in w):
             break
-        for key, fresh in newly.items():
-            white[key][fresh] = r
-    colorings = {(p, q): PlaneColoring(p, q, white[(p, q)], view, rank_bound, dmax)
-                 for p in net.states for q in net.states}
+        for pair, step in steps.items():
+            step[np.minimum(nxt[pair], g), cols] += r
+            step[np.minimum(w[pair], g), cols] -= r
+        w = nxt
+    colorings = {(p, q): PlaneColoring(p, q, np.cumsum(step, axis=0, out=step)[:g],
+                                       view, rank_bound, dmax)
+                 for (p, q), step in steps.items()}
     _assert_interior_monotone(colorings)
     return colorings
 
@@ -190,14 +181,12 @@ class Frontier:
 
 
 def frontier(coloring: PlaneColoring) -> Frontier:
-    interior = coloring.interior_view()
     r = coloring.interior
     if r <= 0:
         raise NetError("empty interior")
-    vals = []
-    for n in range(r):
-        blacks = int(np.count_nonzero(interior[:, n] == 0))
-        vals.append(INF if blacks == r else blacks - 1)
+    # Rows are black prefixes of m, so the frontier is the black count - 1.
+    counts = (coloring.interior_view() == 0).sum(axis=0)
+    vals = [INF if blacks == r else int(blacks) - 1 for blacks in counts]
     return Frontier((coloring.p, coloring.q), vals)
 
 
@@ -296,8 +285,10 @@ def classify_and_fit(frontiers: dict) -> dict:
 def detect_belt_period(coloring: PlaneColoring, fit: BeltFit):
     """Smallest multiple of the repetition vector shifting the belt onto itself.
 
-    Compares whole interior rows above a threshold, which for
-    prefix-shaped rows is the same as frontier periodicity.  The
+    Compares interior rows above a threshold.  Rows are black prefixes,
+    so comparing rows is comparing frontiers: with b[n] black cells in
+    row n, row n matches row n + py shifted by px on m < r - px exactly
+    when min(b[n], r - px) == clip(b[n + py] - px, 0, r - px).  The
     threshold is the half view, lowered to half the uncensored height
     when the belt saturates the view early (fully black rows compare
     trivially, so the window must keep rows whose frontier is visible).
@@ -306,22 +297,23 @@ def detect_belt_period(coloring: PlaneColoring, fit: BeltFit):
     period (1,1).
     """
     r = coloring.interior
-    black = coloring.interior_view() == 0
+    b = (coloring.interior_view() == 0).sum(axis=0)
     if fit.kind == "HF":
-        if black.all():
+        if (b == r).all():
             return (1, 1)
         raise NetError("period detection needs an SF fit")
     if fit.kind != "SF":
         raise NetError("period detection needs an SF fit")
     dx, dy = fit.period_hint
-    t = next((n for n in range(r) if bool(black[:, n].all())), r)
-    n0 = t // 2 if t < r else r // 2
+    full = np.flatnonzero(b == r)
+    n0 = int(full[0]) // 2 if full.size else r // 2
     k = 1
     while True:
         px, py = k * dx, k * dy
         if py > (r - n0) // 2 or px >= r:
             return None
-        if np.array_equal(black[:r - px, n0:r - py], black[px:, n0 + py:]):
+        if np.array_equal(np.minimum(b[n0:r - py], r - px),
+                          np.clip(b[n0 + py:] - px, 0, r - px)):
             return (px, py)
         k += 1
 
@@ -502,8 +494,10 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
       an infinite row of the target plane.
 
     Raises ResourceGuardError when the rows to check, (H+L) times the
-    number of planes, exceed DEFAULT_CELL_BUDGET: an untrusted
-    certificate can make L astronomically large.
+    number of planes, plus the small-m cells of the infinite rows,
+    (H+L - inf_from) * (Dmax+1) per HF plane, exceed DEFAULT_CELL_BUDGET:
+    an untrusted certificate can make L astronomically large, and a
+    succinct net writes Dmax in binary.
     """
     _validate_certificate(net, cert)
     failures = []
@@ -513,12 +507,15 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
         if belt.kind == "SF":
             lcm = lcm * belt.period[1] // math.gcd(lcm, belt.period[1])
     horizon = h + lcm
-    rows = horizon * len(cert.planes)
-    if rows > DEFAULT_CELL_BUDGET:
-        raise ResourceGuardError(
-            f"verification needs {rows} rows ({len(cert.planes)} planes, height {h}, "
-            f"period lcm {lcm}), budget is {DEFAULT_CELL_BUDGET}")
     dmax = net.max_delta
+    rows = horizon * len(cert.planes)
+    cells = sum((horizon - belt.inf_from) * (dmax + 1)
+                for belt in cert.planes.values() if belt.kind == "HF")
+    if rows + cells > DEFAULT_CELL_BUDGET:
+        raise ResourceGuardError(
+            f"verification needs {rows} rows and {cells} infinite-row cells "
+            f"({len(cert.planes)} planes, height {h}, period lcm {lcm}, "
+            f"largest delta {dmax}), budget is {DEFAULT_CELL_BUDGET}")
 
     def in_b(p: str, m: int, q: str, n: int) -> bool:
         return n >= 0 and m >= 0 and cert.covers(p, m, q, n)

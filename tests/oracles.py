@@ -7,7 +7,10 @@ shares logic with the implementation under test.
 """
 
 import contextlib
+import itertools
 import signal
+
+import numpy as np
 
 from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, Lts,
                          PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
@@ -90,6 +93,60 @@ def brute_rank(lts: Lts, s: str, t: str):
         if nxt == rel:
             return None
         rel = nxt
+
+
+# ---------------------------------------------------------------------------
+# Plane coloring oracle
+
+
+def _shift_bool(a, dm: int, dn: int):
+    """out[m,n] = a[m+dm, n+dn] where defined, False outside the grid."""
+    gm, gn = a.shape
+    out = np.zeros_like(a)
+    m0, m1 = max(0, -dm), min(gm, gm - dm)
+    n0, n1 = max(0, -dn), min(gn, gn - dn)
+    if m0 < m1 and n0 < n1:
+        out[m0:m1, n0:n1] = a[m0 + dm:m1 + dm, n0 + dn:n1 + dn]
+    return out
+
+
+def grid_color_planes(net: Socn, rank_bound: int, view: int) -> dict:
+    """White-rank grid per plane, computed cell by cell on a box.
+
+    At round r a cell turns white when some attacker rule that stays in
+    the box has every enabled response already white; cells outside the
+    box count as black.  The box has the rows [0, g) of ``color_planes``,
+    g = view + K*Dmax, and K*Dmax more columns of m past g, which makes
+    every rank up to K exact on m < g.
+    """
+    dmax = net.max_delta
+    gn = view + rank_bound * dmax
+    gm = gn + rank_bound * dmax
+    white = {(p, q): np.zeros((gm, gn), dtype=np.int32)
+             for p in net.states for q in net.states}
+    mvec = np.arange(gm).reshape(-1, 1)
+    nvec = np.arange(gn).reshape(1, -1)
+    for r in range(1, rank_bound + 1):
+        newly = {}
+        for (p, q), grid in white.items():
+            win = np.zeros((gm, gn), dtype=bool)
+            for ra in net.rules_from(p):
+                move_ok = np.broadcast_to((mvec + ra.delta >= 0)
+                                          & (mvec + ra.delta < gm), (gm, gn)).copy()
+                for rd in net.rules_from(q):
+                    if rd.action == ra.action:
+                        target_white = _shift_bool(
+                            white[(ra.to, rd.to)] > 0, ra.delta, rd.delta)
+                        move_ok &= target_white | (nvec + rd.delta < 0)
+                win |= move_ok
+            fresh = win & (grid == 0)
+            if fresh.any():
+                newly[(p, q)] = fresh
+        if not newly:
+            break
+        for key, fresh in newly.items():
+            white[key][fresh] = r
+    return white
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +389,69 @@ def random_unary_net(rng, max_states: int = 3, max_rules: int = 4):
     return Socn(states=states, actions=actions, rules=tuple(rules))
 
 
+def canonical_unary_nets(n_states, max_rules):
+    """All unary nets on exactly n_states states with 1..max_rules
+    rules, one representative per renaming of states and actions."""
+    names = tuple(f"p{i}" for i in range(n_states))
+    cores = [(f, d, t) for f in range(n_states) for d in (-1, 0, 1)
+             for t in range(n_states)]
+    perms = list(itertools.permutations(range(n_states)))
+
+    def canonical(classes):
+        best = None
+        for pm in perms:
+            relabeled = tuple(sorted(
+                tuple(sorted((pm[f], d, pm[t]) for (f, d, t) in cl))
+                for cl in classes))
+            if best is None or relabeled < best:
+                best = relabeled
+        return best
+
+    def partitions(slots):
+        # Set partitions of the rule slots into action classes; a class
+        # may not hold the same core twice (that would duplicate a rule).
+        if not slots:
+            yield []
+            return
+        first, rest = slots[0], slots[1:]
+        for sub in partitions(rest):
+            for i, cl in enumerate(sub):
+                if first not in cl:
+                    yield sub[:i] + [cl | {first}] + sub[i + 1:]
+            yield sub + [{first}]
+
+    seen = set()
+    out = []
+    for size in range(1, max_rules + 1):
+        for multiset in itertools.combinations_with_replacement(cores, size):
+            for part in partitions(list(multiset)):
+                key = canonical(tuple(frozenset(cl) for cl in part))
+                if key in seen:
+                    continue
+                seen.add(key)
+                rules = []
+                for ai, cl in enumerate(key):
+                    for (f, d, t) in cl:
+                        rules.append(Rule(names[f], f"a{ai}", d, names[t]))
+                out.append(Socn(states=names,
+                                actions=tuple(f"a{ai}" for ai in range(len(key))),
+                                rules=tuple(rules)))
+    return out
+
+
+def random_succinct_net(rng, max_states: int = 3, max_rules: int = 5,
+                        max_delta: int = 3):
+    """Random net with deltas in [-max_delta, max_delta]."""
+    n = rng.randint(1, max_states)
+    states = tuple(f"p{i}" for i in range(n))
+    actions = tuple("ab"[:rng.randint(1, 2)])
+    rules = {(rng.choice(states), rng.choice(actions),
+              rng.randint(-max_delta, max_delta), rng.choice(states))
+             for _ in range(rng.randint(1, max_rules))}
+    return Socn(states=states, actions=actions,
+                rules=tuple(Rule(*key) for key in sorted(rules)))
+
+
 def random_seqdesc(rng, max_extra: int = 2, m_lo: int = 3,
                    m_hi: int = 6) -> SeqDescription:
     extra = ["A", "B"][:rng.randint(0, max_extra)]
@@ -357,6 +477,14 @@ def prime_period_certificate():
     cert = BeltCertificate(60, {plane: PlaneBelt("SF", list(range(60)), period=(k, k))
                                 for plane, k in zip(planes, primes, strict=True)})
     return net, cert
+
+
+def big_delta_certificate(delta: int = 10 ** 7):
+    """A 1-state net with the single rule s -a,+delta-> s and the
+    well-formed 1-row certificate claiming its plane all black.  The
+    infinite rows' small-m check would visit about 2 * delta cells."""
+    net = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", delta, "s"),))
+    return net, BeltCertificate(1, {("s", "s"): PlaneBelt("HF", [], inf_from=0)})
 
 
 @contextlib.contextmanager

@@ -13,7 +13,6 @@ On success each test prints one `ACCEPTANCE n: PASS ...` line (run
 pytest with -s to see them alongside the verdicts).
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -35,7 +34,7 @@ from ocn_gamelab import (Config, CountdownGame, InputDocument, Rule,
                          win_levels_stream, winning_area)
 from ocn_gamelab.cli import main
 
-from oracles import (expected_net_successors, is_one_step_closed,
+from oracles import (canonical_unary_nets, expected_net_successors, is_one_step_closed,
                      mimicking_bisim_witness, random_countdown, random_rgame,
                      random_seqdesc, random_socnrgame, random_unary_net,
                      recursive_cg, sink_winning_area)
@@ -284,56 +283,6 @@ def test_criterion_06_drain_net_belt_structure():
 # 7. On an exhaustive family of small unary nets (and a wider random
 #    stratum) the plane coloring agrees cell-for-cell with the direct
 #    bounded attacker search, and every plane is monotone.
-
-
-def canonical_unary_nets(n_states, max_rules):
-    """All unary nets on exactly n_states states with 1..max_rules
-    rules, one representative per renaming of states and actions."""
-    names = tuple(f"p{i}" for i in range(n_states))
-    cores = [(f, d, t) for f in range(n_states) for d in (-1, 0, 1)
-             for t in range(n_states)]
-    perms = list(itertools.permutations(range(n_states)))
-
-    def canonical(classes):
-        best = None
-        for pm in perms:
-            relabeled = tuple(sorted(
-                tuple(sorted((pm[f], d, pm[t]) for (f, d, t) in cl))
-                for cl in classes))
-            if best is None or relabeled < best:
-                best = relabeled
-        return best
-
-    def partitions(slots):
-        # Set partitions of the rule slots into action classes; a class
-        # may not hold the same core twice (that would duplicate a rule).
-        if not slots:
-            yield []
-            return
-        first, rest = slots[0], slots[1:]
-        for sub in partitions(rest):
-            for i, cl in enumerate(sub):
-                if first not in cl:
-                    yield sub[:i] + [cl | {first}] + sub[i + 1:]
-            yield sub + [{first}]
-
-    seen = set()
-    out = []
-    for size in range(1, max_rules + 1):
-        for multiset in itertools.combinations_with_replacement(cores, size):
-            for part in partitions(list(multiset)):
-                key = canonical(tuple(frozenset(cl) for cl in part))
-                if key in seen:
-                    continue
-                seen.add(key)
-                rules = []
-                for ai, cl in enumerate(key):
-                    for (f, d, t) in cl:
-                        rules.append(Rule(names[f], f"a{ai}", d, names[t]))
-                out.append(Socn(states=names,
-                                actions=tuple(f"a{ai}" for ai in range(len(key))),
-                                rules=tuple(rules)))
-    return out
 
 
 def assert_coloring_exact_and_monotone(net, rank_bound, view):

@@ -9,7 +9,7 @@ from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Rule,
                          parse_document, serialize_document)
 from ocn_gamelab.cli import main
 
-from oracles import prime_period_certificate, time_limit
+from oracles import big_delta_certificate, prime_period_certificate, time_limit
 
 BLANK = " "
 
@@ -232,6 +232,19 @@ def test_sim_certify_rejects_overclaiming_certificate(capsys, drain_net_doc,
 
 def test_sim_certify_guards_unbounded_verification(capsys, tmp_path):
     net, cert = prime_period_certificate()
+    net_path = write_doc(tmp_path / "net.json", "socn", net)
+    cert_path = write_doc(tmp_path / "cert.json", "certificate",
+                          CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))
+    with time_limit(1.0):
+        code, out, err = run(capsys, "sim", "certify", "--net", net_path,
+                             "--cert", cert_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: verification needs ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_sim_certify_guards_infinite_rows_of_big_deltas(capsys, tmp_path):
+    net, cert = big_delta_certificate()
     net_path = write_doc(tmp_path / "net.json", "socn", net)
     cert_path = write_doc(tmp_path / "cert.json", "certificate",
                           CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))

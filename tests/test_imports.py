@@ -37,3 +37,22 @@ def test_all_lists_exactly_the_imported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert set(ocn_gamelab.__all__) == set(imported_names(tree))
     assert len(ocn_gamelab.__all__) == len(set(ocn_gamelab.__all__))
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+
+    def references(node) -> list:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    everywhere = [name for tree in trees.values() for name in references(tree)]
+    unreferenced = []
+    for filename, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and everywhere.count(node.name) == references(node).count(node.name)):
+                unreferenced.append(f"{filename}:{node.lineno}: {node.name}")
+    assert unreferenced == []

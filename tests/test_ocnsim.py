@@ -12,7 +12,11 @@ from ocn_gamelab import (BeltCertificate, Config, MalformedCertificateError,
                          successors, trace_vector_travel, verify_certificate,
                          verify_certificate_explain)
 
-from oracles import prime_period_certificate, random_unary_net, time_limit
+import numpy as np
+
+from oracles import (big_delta_certificate, canonical_unary_nets, grid_color_planes,
+                     prime_period_certificate, random_succinct_net, random_unary_net,
+                     time_limit)
 
 
 def drain_net():
@@ -159,6 +163,28 @@ def test_travel_rejects_wrongly_colored_endpoints():
         trace_vector_travel(net, cols, ("p", "q"), (1, 2), (0, 30))
 
 
+def test_travel_walks_past_one_move_beyond_the_interior():
+    # Two climbing rules push both endpoints two cells up each counter
+    # before the drain loop walks them back down to the axis; the second
+    # step reads (7,3), two moves past the 6 x 6 interior.
+    rules = []
+    for s in "pq":
+        rules += [Rule(f"{s}0", "a", 1, f"{s}1"), Rule(f"{s}1", "a", 1, f"{s}2"),
+                  Rule(f"{s}2", "b", -1, f"{s}2")]
+    net = Socn(states=("p0", "p1", "p2", "q0", "q1", "q2"), actions=("a", "b"),
+               rules=tuple(rules))
+    cols = color_planes(net, 24, 6)
+    tr = trace_vector_travel(net, cols, ("p0", "q0"), (1, 5), (5, 1))
+    assert [(s.plane, s.start, s.end, s.white_rank, s.action) for s in tr.steps] == [
+        (("p1", "q1"), (2, 6), (6, 2), 5, "a"),
+        (("p2", "q2"), (3, 7), (7, 3), 4, "a"),
+        (("p2", "q2"), (2, 6), (6, 2), 3, "b"),
+        (("p2", "q2"), (1, 5), (5, 1), 2, "b"),
+        (("p2", "q2"), (0, 4), (4, 0), 1, "b"),
+    ]
+    assert tr.mismatch_action == "b"
+
+
 def test_all_white_plane_counts_defender_fuel():
     cols = color_planes(loop_net(), 24, 12)
     pq = cols[("p", "q")]
@@ -244,6 +270,13 @@ def test_verification_horizon_is_guarded():
         verify_certificate_explain(net, cert)
 
 
+def test_infinite_row_cells_are_guarded():
+    net, cert = big_delta_certificate()
+    with time_limit(1.0), pytest.raises(ResourceGuardError,
+                                        match="verification needs .* infinite-row cells"):
+        verify_certificate_explain(net, cert)
+
+
 def test_interior_monotone_on_random_nets():
     rng = random.Random(1999)
     for _ in range(25):
@@ -273,3 +306,32 @@ def test_interior_ranks_match_bounded_search():
                         oracle, oracle, (Config(p, m), Config(q, n)), bound)
                     want = int(col.white[m, n])
                     assert got == (want if want else None), (net, p, m, q, n)
+
+
+def assert_matches_grid_oracle(net, rank_bound, view):
+    cols = color_planes(net, rank_bound, view)
+    grid = grid_color_planes(net, rank_bound, view)
+    g = view + rank_bound * net.max_delta
+    for plane, col in cols.items():
+        assert np.array_equal(col.white, grid[plane][:g]), (
+            net.rules, rank_bound, view, plane)
+
+
+def test_staircase_coloring_matches_grid_oracle():
+    nets = canonical_unary_nets(2, 3)
+    assert len(nets) == 772
+    for net in nets:
+        assert_matches_grid_oracle(net, 16, 8)
+    rng = random.Random(303)
+    for _ in range(200):
+        net = random_succinct_net(rng)
+        view = rng.randint(1, 10)
+        assert_matches_grid_oracle(net, rng.randint(1, 3 * view), view)
+
+
+def test_large_view_coloring():
+    with time_limit(5.0):
+        cols = color_planes(drain_net(), 512, 256)
+    black = cols[("p", "q")].interior_view() == 0
+    m, n = np.ogrid[:256, :256]
+    assert np.array_equal(black, n >= 2 * m)
