@@ -9,9 +9,11 @@ fits and periods from ``ocnsim.belt_periods``.  Documents are the
 strict JSON formats of the documents module.
 
 Exit codes: 0 success or positive decision, 1 negative decision,
-2 inconclusive or unknown, 3 input error, 4 resource guard.  The
-environment variable OCN_GAMELAB_CELL_BUDGET overrides the coloring
-cell budget for the sim and render paths.
+2 inconclusive or unknown, 3 input error, 4 resource guard (also for
+exhausted recursion or memory), 5 internal error (a computed result
+contradicted a theorem).  The environment variable
+OCN_GAMELAB_CELL_BUDGET overrides the cell budget of coloring and
+refutation for the sim and render paths.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from pathlib import Path
 from .countdown import solve_cg, solve_ecg
 from .documents import (CertificateDoc, DocumentError, InputDocument, net_sha256,
                         parse_document, serialize_document)
-from .ocnsim import (INF, ResourceGuardError, UnstableFitError, belt_periods,
-                     certify_colorings, classify_and_fit, color_planes, decide_sim,
-                     frontier, verify_certificate_explain)
+from .ocnsim import (INF, InvariantError, ResourceGuardError, UnstableFitError,
+                     belt_periods, certify_colorings, classify_and_fit, color_planes,
+                     decide_sim, frontier, verify_certificate_explain)
 from .reductions import (ecg_to_socnrg, rgame_to_mimicking_lts, seqdesc_to_countdown,
                          socnrgame_to_socn)
 from .render import RenderSpec, fit_summary, render_all, render_plane
@@ -37,6 +39,7 @@ EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -445,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_check.add_argument("--left", required=True, metavar="STATE:COUNTER")
     sim_check.add_argument("--right", required=True, metavar="STATE:COUNTER")
     sim_check.add_argument("--budget", type=int, default=None,
-                           help="refutation search depth (default rank bound)")
+                           help="refutation rounds (default rank bound)")
     sim_check.add_argument("--view", type=int, default=None)
     sim_check.add_argument("--rank-bound", type=int, default=None)
     sim_check.set_defaults(func=cmd_sim_check)
@@ -499,9 +502,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ResourceGuardError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
+    except (ResourceGuardError, RecursionError, MemoryError) as exc:
+        print(f"resource guard: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,7 +5,9 @@ when p(m) is simulated by q(n) and white otherwise.  White cells carry
 the rank at which the attacker wins.  Simulation is monotone in both
 counters, so each row is a staircase step, black up to a threshold in
 m; a plane is computed bottom-up to a rank bound K as one threshold
-per row, K * Dmax rows past the interior so that it is exact.
+per row, K * Dmax rows past the interior so that it is exact.  The
+same threshold rounds, on only the pairs and rows a query can reach,
+give the decision procedure its exact refutation ranks.
 
 Black cells of an interior are never asserted to be truly black; they
 are candidates.  The honest positive answers come from certificates:
@@ -28,16 +30,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lts import bounded_attacker_search
-from .socn import Config, NetError, Socn, config_oracle
+from .socn import NetError, Socn
 
 INF = math.inf
 
 DEFAULT_CELL_BUDGET = 16_000_000
 
+# Threshold of a row with no white cell.
+_BLACK = 2 ** 62
+
 
 class ResourceGuardError(RuntimeError):
-    """The requested coloring exceeds the configured cell budget."""
+    """A coloring, refutation or verification exceeds its budget."""
 
 
 class UnstableFitError(ValueError):
@@ -99,18 +103,80 @@ def _assert_interior_monotone(colorings: dict) -> None:
             raise InvariantError(f"black not up-closed in plane ({p},{q})")
 
 
+def _threshold_rounds(net: Socn, pairs: list, rows: np.ndarray, low: int = 0):
+    """Yield the threshold arrays w_1, w_2, ... of ``pairs`` on ``rows``.
+
+    ``w_r[i, j]`` is the least m white at rank <= r in plane ``pairs[i]``
+    and row ``rows[j]`` (sorted counters), or ``_BLACK`` when the row has
+    none.  Round r takes, per pair, the min over attacker rules of the max
+    over same-action responses of w_{r-1}(target)(n + dd) - da, floored
+    at -da so the rule is enabled.  A read below ``low`` means the
+    response is disabled; a read of a counter outside ``rows`` counts as
+    black, the conservative direction.  ``pairs`` must be closed under
+    same-action rule pairs.  Stops once a round changes nothing.
+    """
+    index = {pair: i for i, pair in enumerate(pairs)}
+    size = len(pairs) * len(rows)
+    outside, disabled = size, size + 1
+    # Flat tables: one entry per response of each attacker rule, one
+    # attacker rule per slice of entries, one pair per slice of rules.
+    # An attacker rule with no response reads a disabled entry; a pair
+    # with no attacker rule gets one whose floor is black.
+    targets, dds, das, floors, rule_starts, pair_starts = [], [], [], [], [], []
+    for p, q in pairs:
+        pair_starts.append(len(floors))
+        attacker = net.rules_from(p)
+        for ra in attacker:
+            rule_starts.append(len(targets))
+            floors.append(max(0, -ra.delta))
+            responses = [(index[(ra.to, rd.to)], rd.delta)
+                         for rd in net.rules_from(q) if rd.action == ra.action]
+            for t, dd in responses or [(-1, 0)]:
+                targets.append(t)
+                dds.append(dd)
+                das.append(ra.delta)
+        if not attacker:
+            rule_starts.append(len(targets))
+            floors.append(_BLACK)
+            targets.append(-1)
+            dds.append(0)
+            das.append(0)
+    targets = np.array(targets)[:, None]
+    reads = rows + np.array(dds)[:, None]
+    pos = np.searchsorted(rows, reads)
+    gather = np.where(rows.take(pos, mode="clip") == reads,
+                      targets * len(rows) + pos, outside)
+    gather[(reads < low) | (targets < 0)] = disabled
+    del reads, pos  # the generator would keep them alive for every round
+    das = np.array(das)[:, None]
+    floors = np.array(floors)[:, None]
+    flat = np.empty(size + 2, dtype=np.int64)
+    flat[outside], flat[disabled] = _BLACK, -_BLACK
+    w = np.full((len(pairs), len(rows)), _BLACK)
+    while True:
+        flat[:size] = w.ravel()
+        vals = flat.take(gather)
+        vals -= das
+        need = np.maximum.reduceat(vals, rule_starts, axis=0)
+        np.maximum(need, floors, out=need)
+        nxt = np.minimum.reduceat(need, pair_starts, axis=0)
+        # Thresholds read off black stay near _BLACK; finite ones are small.
+        nxt[nxt >= _BLACK // 2] = _BLACK
+        if np.array_equal(nxt, w):
+            return
+        yield nxt
+        w = nxt
+
+
 def color_planes(net: Socn, rank_bound: int, view: int,
                  cell_budget: int | None = None) -> dict:
     """Rank-bounded coloring of every plane; interior [0,view)^2 is exact.
 
-    Each plane is a threshold vector over rows [0, view + K*Dmax): w_r(n)
-    is the least m white at rank <= r in row n.  Round r takes the min
-    over attacker rules of the max over enabled responses of
-    w_{r-1}(target)(n + dd) - da, floored at -da so the rule is enabled.
-    Rows past the end count as black, the conservative direction, which
-    the extra K*Dmax rows absorb; m needs no padding.  Stops early once a
-    round changes nothing.  Ranks are read off the threshold history on
-    the square of those rows.
+    Runs :func:`_threshold_rounds` on all state pairs over rows
+    [0, view + K*Dmax): rows past the end count as black, which the extra
+    K*Dmax rows absorb; m needs no padding.  Stops early once a round
+    changes nothing.  Ranks are read off the threshold history on the
+    square of those rows.
     """
     if rank_bound < 1 or view < 1:
         raise NetError("rank_bound and view must be >= 1")
@@ -122,38 +188,21 @@ def color_planes(net: Socn, rank_bound: int, view: int,
         raise ResourceGuardError(
             f"coloring needs {cells} cells (grid {g}, {len(net.states)} states), "
             f"budget is {budget}")
-    # Finite thresholds stay below g (a round adds at most Dmax); ``black``
-    # marks a row with no white cell.
-    black = 2 ** 62
-    w = {(p, q): np.full(g, black) for p in net.states for q in net.states}
-    # Row n turns white at rank r on [w_r(n), w_{r-1}(n)): kept on
-    # [0, g)^2 as +r/-r at the interval ends, summed along m at the end.
+    pairs = [(p, q) for p in net.states for q in net.states]
+    # Finite thresholds stay below g (a round adds at most Dmax).  Row n
+    # turns white at rank r on [w_r(n), w_{r-1}(n)): kept on [0, g)^2 as
+    # +r/-r at the interval ends, summed along m at the end.
     cols = np.arange(g)
-    steps = {pair: np.zeros((g + 1, g), dtype=np.int32) for pair in w}
-    # Responses from below row 0 are disabled; rows past the end are black.
-    low, high = np.full(dmax, -black), np.full(dmax, black)
-    for r in range(1, rank_bound + 1):
-        padded = {pair: np.concatenate((low, t, high)) for pair, t in w.items()}
-        nxt = {}
-        for p, q in w:
-            best = w[(p, q)]
-            for ra in net.rules_from(p):
-                need = np.full(g, max(0, -ra.delta))
-                for rd in net.rules_from(q):
-                    if rd.action == ra.action:
-                        t = padded[(ra.to, rd.to)][dmax + rd.delta:][:g]
-                        need = np.maximum(need, t - ra.delta)
-                best = np.minimum(best, need)
-            nxt[(p, q)] = np.where(best < g, best, black)
-        if all(np.array_equal(nxt[pair], w[pair]) for pair in w):
-            break
-        for pair, step in steps.items():
-            step[np.minimum(nxt[pair], g), cols] += r
-            step[np.minimum(w[pair], g), cols] -= r
+    planes = np.arange(len(pairs))[:, None]
+    steps = np.zeros((len(pairs), g + 1, g), dtype=np.int32)
+    w = np.full((len(pairs), g), _BLACK)
+    for r, nxt in zip(range(1, rank_bound + 1), _threshold_rounds(net, pairs, cols)):
+        steps[planes, np.minimum(nxt, g), cols] += r
+        steps[planes, np.minimum(w, g), cols] -= r
         w = nxt
-    colorings = {(p, q): PlaneColoring(p, q, np.cumsum(step, axis=0, out=step)[:g],
-                                       view, rank_bound, dmax)
-                 for (p, q), step in steps.items()}
+    np.cumsum(steps, axis=1, out=steps)
+    colorings = {(p, q): PlaneColoring(p, q, steps[i, :g], view, rank_bound, dmax)
+                 for i, (p, q) in enumerate(pairs)}
     _assert_interior_monotone(colorings)
     return colorings
 
@@ -517,9 +566,6 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
             f"({len(cert.planes)} planes, height {h}, period lcm {lcm}, "
             f"largest delta {dmax}), budget is {DEFAULT_CELL_BUDGET}")
 
-    def in_b(p: str, m: int, q: str, n: int) -> bool:
-        return n >= 0 and m >= 0 and cert.covers(p, m, q, n)
-
     for plane, belt in sorted(cert.planes.items()):
         p, q = plane
         slope = _plane_slope(belt)
@@ -528,15 +574,22 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
             if f == -1:
                 continue
             if f == INF:
-                # Small-m regime: explicit cells, transferring upward by
-                # dominance since m stays fixed.
-                for m in range(dmax + 1):
-                    for ra in net.rules_from(p):
-                        if m + ra.delta < 0:
-                            continue
-                        if not any(rd.action == ra.action
-                                   and in_b(ra.to, m + ra.delta, rd.to, n + rd.delta)
-                                   for rd in net.rules_from(q)):
+                # Small-m regime: cells m <= Dmax, transferring upward by
+                # dominance since m stays fixed.  An enabled rule is
+                # answered at m iff m + delta is at most the largest
+                # target frontier over its enabled responses, so each
+                # rule fails from one threshold on.
+                firsts = []
+                for ra in net.rules_from(p):
+                    top = max((cert.frontier_at((ra.to, rd.to), n + rd.delta)
+                               for rd in net.rules_from(q)
+                               if rd.action == ra.action and n + rd.delta >= 0),
+                              default=-INF)
+                    firsts.append(max(0, -ra.delta, top - ra.delta + 1))
+                start = min((first for first in firsts if first <= dmax), default=dmax + 1)
+                for m in range(start, dmax + 1):
+                    for ra, first in zip(net.rules_from(p), firsts):
+                        if m >= first:
                             failures.append(
                                 f"plane {plane} row {n}: infinite row, m={m}, "
                                 f"rule ({ra.frm},{ra.action},{ra.delta},{ra.to}) unanswered")
@@ -649,16 +702,88 @@ def certify_colorings(net: Socn, colorings: dict) -> SimDecision:
     return SimDecision("yes", certificate=cert, diagnostics=diagnostics)
 
 
+def _reachable_offsets(deltas: set, n: int, moves: int, limit: int) -> np.ndarray:
+    """Sorted offsets d with n + d reachable from n by at most ``moves``
+    steps of the given deltas, never going below 0.  Stops past
+    ``limit`` offsets: more than ``limit`` returned means too many."""
+    seen, fresh = {0}, {0}
+    for _ in range(moves):
+        fresh = {x + d for x in fresh for d in deltas if n + x + d >= 0} - seen
+        if not fresh or len(seen) > limit:
+            break
+        seen |= fresh
+    return np.array(sorted(seen))
+
+
+def _query_rank(net: Socn, p: str, m: int, q: str, n: int, budget: int,
+                cell_budget: int):
+    """Exact attacker rank of (p(m), q(n)) if at most ``budget``, else None.
+
+    Runs :func:`_threshold_rounds` on the pairs reachable from (p, q)
+    through same-action rule pairs, deepening iteratively: stage b runs b
+    rounds over the defender counters reachable from n in at most b - 1
+    moves, as offsets from n, for b = 1, 2, 4, ... up to ``budget``.  Row
+    n at round r only reads rows within b - r moves, so every read that
+    decides the answer stays inside the row set and stage b answers
+    every rank up to b exactly.  The rank is the first round whose
+    threshold in row n is at most m.  Rows, rounds and guards thus grow
+    with the rank reached, not with ``budget``.  Raises
+    ResourceGuardError when a stage's counters pass 64 bits or its rows
+    times response entries (the size of its gather table) exceed
+    ``cell_budget``.  budget < 1 always returns None.
+    """
+    if budget < 1:
+        return None
+    pairs, seen = [(p, q)], {(p, q)}
+    deltas, dmax, entries = set(), 0, 0
+    for s, t in pairs:  # grows while it is walked: a breadth-first search
+        attacker = net.rules_from(s)
+        entries += not attacker
+        for ra in attacker:
+            dmax = max(dmax, abs(ra.delta))
+            responses = [rd for rd in net.rules_from(t) if rd.action == ra.action]
+            entries += max(1, len(responses))
+            for rd in responses:
+                deltas.add(rd.delta)
+                dmax = max(dmax, abs(rd.delta))
+                if (ra.to, rd.to) not in seen:
+                    seen.add((ra.to, rd.to))
+                    pairs.append((ra.to, rd.to))
+    m = min(m, _BLACK - 1)  # a black row stays black for every m
+    stage = 0
+    while stage < budget:
+        stage = min(2 * stage or 1, budget)
+        # Offsets and finite thresholds stay below stage * Dmax.
+        if stage * dmax >= _BLACK // 2:
+            raise ResourceGuardError(
+                f"refutation counters exceed 64 bits ({stage} rounds, largest delta {dmax})")
+        rows = _reachable_offsets(deltas, n, stage - 1, cell_budget // entries)
+        if len(rows) * entries > cell_budget:
+            raise ResourceGuardError(
+                f"refutation needs at least {len(rows) * entries} cells ({len(rows)} "
+                f"rows, {entries} response entries), budget is {cell_budget}")
+        row = int(np.searchsorted(rows, 0))
+        rounds = _threshold_rounds(net, pairs, rows, low=-min(n, _BLACK))
+        for r, w in zip(range(1, stage + 1), rounds):
+            if w[0, row] <= m:
+                return r
+    return None
+
+
 def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
                budget: int | None = None, view: int | None = None,
                rank_bound: int | None = None,
                cell_budget: int | None = None) -> SimDecision:
     """Does q(n) simulate p(m)?  Sound in both directions, else Unknown.
 
-    The refutation direction searches the simulation game exactly up to
-    ``budget`` rounds.  The positive direction colors the planes and
-    runs :func:`certify_colorings` on them; Yes only when the verified
-    certificate covers the queried cell.
+    The refutation direction runs the threshold rounds of
+    :func:`color_planes` for up to ``budget`` rounds, deepening
+    iteratively, on the state pairs reachable from (p, q) and the
+    defender counters reachable from n, and reads the exact rank of the
+    query cell off them.  The positive
+    direction colors the planes and runs :func:`certify_colorings` on
+    them; Yes only when the verified certificate covers the queried
+    cell.  Both count their cells against ``cell_budget``.
     """
     if p not in set(net.states) or q not in set(net.states):
         raise NetError("unknown state in query")
@@ -668,11 +793,10 @@ def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
         rank_bound = 2 * view
     if budget is None:
         budget = rank_bound
-    if budget > 0:
-        r = bounded_attacker_search(config_oracle(net), config_oracle(net),
-                                    (Config(p, m), Config(q, n)), budget)
-        if r is not None:
-            return SimDecision("no", rank=r)
+    r = _query_rank(net, p, m, q, n, budget,
+                    DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget)
+    if r is not None:
+        return SimDecision("no", rank=r)
     decision = certify_colorings(
         net, color_planes(net, rank_bound, view, cell_budget=cell_budget))
     if decision.kind == "yes" and not decision.certificate.covers(p, m, q, n):

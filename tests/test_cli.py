@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Rule,
-                         SeqDescription, Socn, TuringMachine, net_sha256,
+from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, InvariantError,
+                         Rule, SeqDescription, Socn, TuringMachine, net_sha256,
                          parse_document, serialize_document)
 from ocn_gamelab.cli import main
 
@@ -317,6 +317,51 @@ def test_cell_budget_guard(capsys, drain_net_doc, monkeypatch):
     monkeypatch.setenv("OCN_GAMELAB_CELL_BUDGET", "lots")
     code, _, err = run(capsys, "sim", "belts", "--net", drain_net_doc)
     assert code == 3 and "expected an integer" in err
+
+
+DEEP_QUERY = ("--left", "p:700", "--right", "q:1399", "--budget", "3000")
+
+
+def test_deep_refutation_is_answered(capsys, drain_net_doc):
+    with time_limit(2.0):
+        result = run(capsys, "sim", "check", "--net", drain_net_doc, *DEEP_QUERY)
+    assert result == (1, "NO (rank=1400)\n", "")
+
+
+def test_shallow_refutation_of_a_huge_counter(capsys, drain_net_doc):
+    # The default budget grows with the counters (2 * (10**19 + 10) rounds
+    # here), but q(0) cannot answer a, so rank 1 is found at once.
+    with time_limit(1.0):
+        result = run(capsys, "sim", "check", "--net", drain_net_doc,
+                     "--left", f"p:{10 ** 19}", "--right", "q:0")
+    assert result == (1, "NO (rank=1)\n", "")
+
+
+def test_refutation_cell_budget_guard(capsys, drain_net_doc, monkeypatch):
+    monkeypatch.setenv("OCN_GAMELAB_CELL_BUDGET", "1000")
+    code, out, err = run(capsys, "sim", "check", "--net", drain_net_doc, *DEEP_QUERY)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: refutation needs ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (RecursionError("maximum recursion depth exceeded"), 4, "resource guard: "),
+    (MemoryError(), 4, "resource guard: "),
+    (InvariantError("black not left-closed in plane (p,q)"), 5, "internal error: "),
+])
+def test_unexpected_errors_exit_with_one_line(capsys, drain_net_doc, monkeypatch,
+                                              error, code, prefix):
+    from ocn_gamelab import cli
+
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "decide_sim", fail)
+    got, out, err = run(capsys, "sim", "check", "--net", drain_net_doc,
+                        "--left", "p:1", "--right", "q:1")
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and len(err) > len(prefix) + 1
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Static checks of the package's import hygiene, with the stdlib ast."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import ocn_gamelab
 
 PACKAGE = Path(ocn_gamelab.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -56,3 +58,19 @@ def test_no_unreferenced_private_definitions():
                     and everywhere.count(node.name) == references(node).count(node.name)):
                 unreferenced.append(f"{filename}:{node.lineno}: {node.name}")
     assert unreferenced == []
+
+
+def test_traced_functions_exist():
+    # The benchmark's tracer rebinds these (module, attribute) names when
+    # it installs; a renamed or removed one would crash the traced run.
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    targets = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_targets")
+    names = [(node.elts[0].value, node.elts[1].value) for node in ast.walk(targets)
+             if isinstance(node, ast.Tuple) and len(node.elts) == 3
+             and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                     for e in node.elts[:2])]
+    assert len(names) >= 20
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"ocn_gamelab.{module}"), attr)]
+    assert missing == []

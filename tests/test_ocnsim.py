@@ -11,6 +11,7 @@ from ocn_gamelab import (BeltCertificate, Config, MalformedCertificateError,
                          decide_sim, detect_belt_period, frontier,
                          successors, trace_vector_travel, verify_certificate,
                          verify_certificate_explain)
+from ocn_gamelab.ocnsim import _query_rank
 
 import numpy as np
 
@@ -335,3 +336,67 @@ def test_large_view_coloring():
     black = cols[("p", "q")].interior_view() == 0
     m, n = np.ogrid[:256, :256]
     assert np.array_equal(black, n >= 2 * m)
+
+
+def test_big_delta_infinite_rows_verify_in_time():
+    net, cert = big_delta_certificate(10 ** 6)
+    with time_limit(1.0):
+        assert verify_certificate_explain(net, cert) == (True, [])
+
+
+def assert_query_ranks_match_search(net, rng, queries):
+    oracle = config_oracle(net)
+    for _ in range(queries):
+        p, q = rng.choice(net.states), rng.choice(net.states)
+        m, n, budget = rng.randint(0, 15), rng.randint(0, 15), rng.randint(0, 10)
+        want = bounded_attacker_search(oracle, oracle, (Config(p, m), Config(q, n)), budget)
+        assert _query_rank(net, p, m, q, n, budget, 10 ** 6) == want, (
+            net.rules, p, m, q, n, budget)
+
+
+def test_query_rank_matches_attacker_search():
+    rng = random.Random(4040)
+    for _ in range(150):
+        assert_query_ranks_match_search(random_unary_net(rng, 3, 6), rng, 4)
+        assert_query_ranks_match_search(random_succinct_net(rng, 3, 5, 5), rng, 4)
+    big = 10 ** 6
+    wide = Socn(states=("s", "t"), actions=("a", "b"),
+                rules=(Rule("s", "a", big, "t"), Rule("s", "a", -big, "s"),
+                       Rule("t", "a", -big, "s"), Rule("t", "b", 1, "t"),
+                       Rule("s", "b", -1, "t"), Rule("t", "a", big - 1, "t")))
+    assert_query_ranks_match_search(wide, rng, 40)
+    assert _query_rank(wide, "s", big, "t", 3 * big, 10, 10 ** 6) == bounded_attacker_search(
+        config_oracle(wide), config_oracle(wide), (Config("s", big), Config("t", 3 * big)), 10)
+    ruleless = Socn(states=("s",), actions=("a",), rules=())
+    assert_query_ranks_match_search(ruleless, rng, 10)
+    # The pair (t, s) has no attacker rule; (s, t) has no response.
+    one_sided = Socn(states=("s", "t"), actions=("a",),
+                     rules=(Rule("s", "a", 0, "s"), Rule("s", "a", -1, "t")))
+    assert_query_ranks_match_search(one_sided, rng, 40)
+    assert _query_rank(one_sided, "t", 3, "s", 3, 5, 10 ** 6) is None
+    assert _query_rank(one_sided, "s", 0, "t", 0, 5, 10 ** 6) == 1
+
+
+def test_query_rank_on_counters_beyond_64_bits():
+    net = drain_net()
+    oracle = config_oracle(net)
+    for p, m, q, n in (("p", 10 ** 30, "q", 1), ("p", 2 ** 62, "q", 3),
+                       ("p", 10 ** 30, "q", 10 ** 30), ("p1", 2 ** 63, "q", 10 ** 20)):
+        want = bounded_attacker_search(oracle, oracle, (Config(p, m), Config(q, n)), 10)
+        assert _query_rank(net, p, m, q, n, 10, 10 ** 6) == want, (p, m, q, n)
+
+
+def test_query_rank_refuses_thresholds_past_64_bits():
+    wide = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", 2 ** 60, "s"),))
+    with pytest.raises(ResourceGuardError, match="64 bits"):
+        _query_rank(wide, "s", 0, "s", 0, 8, 10 ** 6)
+
+
+def test_query_rank_counts_response_entries_against_the_budget():
+    # One pair, but 20 attacker rules with 20 responses each: 400 entries
+    # per row.  Stage 1 has one row (400 entries); stage 2 has three.
+    rules = tuple(Rule("s", "a", d, "s") for d in (1, -1) * 10)
+    net = Socn(states=("s",), actions=("a",), rules=rules)
+    assert _query_rank(net, "s", 5, "s", 5, 1, 1000) is None
+    with pytest.raises(ResourceGuardError, match="3 rows, 400 response entries"):
+        _query_rank(net, "s", 5, "s", 5, 8_000_000, 1000)
