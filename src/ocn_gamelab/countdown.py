@@ -4,16 +4,20 @@ In a countdown game every rule strictly decreases the counter, so the
 set W(j) of control states winning for Eve at counter value j depends
 only on the previous M levels, where M is the largest decrement.  The
 solvers below stream W(0), W(1), W(2), ... keeping just the segment
-(W(j-w), ..., W(j-1)) of the last w = max(M, 1) levels, as a tuple
-whose slots for levels below 0 hold None.  One recurrence,
-:func:`_next_segment`, advances that tuple by a level; a rule into a
-None slot is disabled, so the same code covers the first levels, where
-enabledness still depends on j, and every later one.  Membership of p0
-in W(n0) answers the countdown game, and a repeat of the segment
-without p0 ever appearing answers the existential variant negatively
-(the level stream is eventually periodic, so a clean segment repeat
-proves p0 never wins).  The theoretical repeat bound M + 2^(|Q|*M) is
-astronomically larger than desk instances need.
+(W(j-w), ..., W(j-1)) of the last w = max(M, 1) levels, as a (w, |Q|)
+boolean array whose rows for levels below 0 are all False.  One array
+kernel, :func:`_next_segment`, advances that segment by a level: the
+game keeps its rules as index arrays sorted by decrement (built while
+it is validated), so the rules enabled at level j are a prefix, one
+gather reads W(j-d)[target] for each of them, and ``np.bincount`` by
+source gives every state's enabled and good counts.  Membership of p0
+in W(n0) answers the countdown game.  The level stream is eventually
+periodic: once all rules are enabled (j >= M - 1) the segment alone
+determines the future, so a segment repeat at j1 < j2 gives
+W(n) = W(j1 + (n - j1) mod (j2 - j1)) for every n >= j1.  ``solve_cg``
+uses it to jump over the cycle, and a repeat without p0 ever appearing
+answers the existential variant negatively.  The theoretical repeat
+bound M + 2^(|Q|*M) is astronomically larger than desk instances need.
 """
 
 from __future__ import annotations
@@ -21,84 +25,155 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import count
 
-from .rgame import EVE, GameError, SocnRGame
+import numpy as np
+
+from .rgame import GameError, SocnRGame
+
+# Largest segment, in cells (levels x states), a solver allocates.
+SEGMENT_CELLS = 2 ** 27
+
+_INT32_MAX = 2 ** 31 - 1
 
 
 class CountdownGame(SocnRGame):
-    """A counter game whose rules all strictly decrease the counter."""
+    """A counter game whose rules all strictly decrease the counter.
 
-    def __post_init__(self):
-        super().__post_init__()
-        for frm, z, to in self.rules:
-            if z >= 0:
-                raise GameError(
-                    f"countdown rule ({frm!r},{z},{to!r}) must have negative delta")
+    Besides the rules themselves the game keeps them as int32 arrays
+    sorted by decrement (stable, so rule order within a decrement):
+    ``_src``, ``_dec`` and ``_tgt``, plus the Eve mask ``_eve`` over
+    state indices.
+    """
+
+    def _index_rules(self, src: list, deltas: list, tgt: list) -> None:
+        if deltas and max(deltas) >= 0:
+            i = next(i for i, z in enumerate(deltas) if z >= 0)
+            frm, z, to = self.rules[i]
+            raise GameError(
+                f"countdown rule ({frm!r},{z},{to!r}) must have negative delta")
+        self._max_decrement = -min(deltas, default=0)
+        if self._max_decrement > _INT32_MAX:
+            # Only the segment guard reads a decrement this large.
+            deltas = [max(z, -_INT32_MAX) for z in deltas]
+        dec = -np.array(deltas, dtype=np.int32)
+        order = np.argsort(dec, kind="stable")
+        self._dec = dec[order]
+        self._src = np.array(src, dtype=np.int32)[order]
+        self._tgt = np.array(tgt, dtype=np.int32)[order]
+        self._eve = np.zeros(len(self.states), dtype=bool)
+        self._eve[[self._index[s] for s in self.eve]] = True
 
     @property
     def max_decrement(self) -> int:
         """M: the largest decrement magnitude (0 for a game with no rules)."""
-        return max((-z for _, z, _ in self.rules), default=0)
+        return self._max_decrement
 
 
-def _next_segment(game: CountdownGame, segment: tuple) -> tuple:
+class _Kernel:
+    """The per-solve tables of the level kernel.
+
+    ``gather`` holds each rule's flat index into a segment: row w - d of
+    the segment ending in W(j-1) is W(j-d).  ``enabled`` counts every
+    state's rules, all of which are enabled from level M on.
+    """
+
+    def __init__(self, game: CountdownGame):
+        self.m = game.max_decrement
+        self.w = w = max(self.m, 1)
+        self.q = q = len(game.states)
+        if w * q > SEGMENT_CELLS:
+            raise MemoryError(f"countdown segment needs {w} levels x {q} states, "
+                              f"more than {SEGMENT_CELLS} cells")
+        self.dec = game._dec
+        self.src = game._src.astype(np.intp)
+        self.gather = (w - self.dec.astype(np.intp)) * q + game._tgt
+        self.enabled = np.bincount(self.src, minlength=q)
+        self.eve = game._eve
+        self.target = game._index[game.target]
+
+
+def _next_segment(kernel: _Kernel, segment: np.ndarray, j: int) -> np.ndarray:
     """Advance the level segment by one level: the single recurrence.
 
-    ``segment`` is (W(j-w), ..., W(j-1)) with w = max(M, 1), and None in
-    the slots of levels below 0; a rule into such a slot is disabled.
-    A state q is in W(j) iff q is Eve's and some enabled rule (q,z,q')
+    ``segment`` holds (W(j-w), ..., W(j-1)) with w = max(M, 1), rows of
+    levels below 0 all False.  A rule (q,z,q') is enabled at level j iff
+    -z <= j; since the rules are sorted by decrement, those form a
+    prefix.  A state q is in W(j) iff q is Eve's and some enabled rule
     lands in W(j+z), or q is Adam's, has at least one enabled rule, and
     every enabled rule lands in the corresponding winning set.  An Adam
     state with no enabled rule is not winning (stalemate favours Adam
-    unless the target configuration is already reached).  Returns
-    (W(j-w+1), ..., W(j)).
+    unless the target configuration is already reached).  Returns a new
+    array (W(j-w+1), ..., W(j)); ``segment`` is left as it is.
     """
-    w = len(segment)
-    won = set()
-    for q in game.states:
-        eve = game.owner(q) == EVE
-        enabled = 0
-        good = 0
-        for z, to in game.rules_from(q):
-            level = segment[w + z]
-            if level is None:
-                continue
-            enabled += 1
-            if to in level:
-                good += 1
-                if eve:
-                    break
-        if (eve and good) or (not eve and enabled and enabled == good):
-            won.add(q)
-    return segment[1:] + (frozenset(won),)
+    if j >= kernel.m:
+        gather, src, enabled = kernel.gather, kernel.src, kernel.enabled
+    else:
+        end = int(np.searchsorted(kernel.dec, j, side="right"))
+        gather, src = kernel.gather[:end], kernel.src[:end]
+        enabled = np.bincount(src, minlength=kernel.q)
+    hit = segment.ravel()[gather]
+    good = np.bincount(src[hit], minlength=kernel.q)
+    won = np.where(kernel.eve, good > 0, (good == enabled) & (enabled > 0))
+    nxt = np.empty_like(segment)
+    nxt[:-1] = segment[1:]
+    nxt[-1] = won
+    return nxt
 
 
-def _segments(game: CountdownGame):
-    """Yield (j, segment ending in W(j)) for j = 0, 1, 2, ..."""
-    segment = (None,) * (max(game.max_decrement, 1) - 1) + (frozenset({game.target}),)
+def _segments(kernel: _Kernel):
+    """Yield (j, segment ending in W(j)) for j = 0, 1, 2, ...; each
+    segment is a fresh array."""
+    segment = np.zeros((kernel.w, kernel.q), dtype=bool)
+    segment[-1, kernel.target] = True
     for j in count():
         yield j, segment
-        segment = _next_segment(game, segment)
+        segment = _next_segment(kernel, segment, j + 1)
+
+
+def _key(segment: np.ndarray) -> bytes:
+    return np.packbits(segment).tobytes()
+
+
+def _state(game: CountdownGame, p0: str) -> int:
+    index = game._index.get(p0)
+    if index is None:
+        raise GameError(f"unknown state {p0!r}")
+    return index
 
 
 def win_levels_stream(game: CountdownGame):
-    """Yield (j, W(j)) in increasing j, keeping only an M-level segment.
+    """Yield (j, W(j)) in increasing j, W(j) a frozenset of state names,
+    keeping only an M-level segment.
 
     W(0) contains exactly the target state; every later level comes
     from the recurrence in :func:`_next_segment`.
     """
-    for j, segment in _segments(game):
-        yield j, segment[-1]
+    states = game.states
+    for j, segment in _segments(_Kernel(game)):
+        yield j, frozenset(states[i] for i in np.flatnonzero(segment[-1]).tolist())
 
 
 def solve_cg(game: CountdownGame, p0: str, n0: int) -> bool:
-    """True iff Eve wins the countdown game from p0 with initial counter n0."""
-    if p0 not in set(game.states):
-        raise GameError(f"unknown state {p0!r}")
+    """True iff Eve wins the countdown game from p0 with initial counter n0.
+
+    Streams the levels up to n0, or up to the first segment repeat
+    (j1, j2) once every rule is enabled, and then reads W(n0) as
+    W(j1 + (n0 - j1) mod (j2 - j1)); so a counter written in binary
+    costs no more levels than the stream's cycle.
+    """
+    p = _state(game, p0)
     if n0 < 0:
         raise GameError("initial counter must be nonnegative")
-    for j, level in win_levels_stream(game):
+    record_from = max(game.max_decrement - 1, 1)
+    seen: dict[bytes, int] = {}
+    wins = []
+    for j, segment in _segments(_Kernel(game)):
+        wins.append(bool(segment[-1, p]))
         if j == n0:
-            return p0 in level
+            return wins[j]
+        if j >= record_from:
+            first = seen.setdefault(_key(segment), j)
+            if first != j:
+                return wins[first + (n0 - first) % (j - first)]
     raise AssertionError("unreachable: level stream is infinite")
 
 
@@ -125,45 +200,45 @@ def solve_ecg(game: CountdownGame, p0: str, cap: int | None = None,
     Streams the level sets, answering Yes at the first hit.  A repeat of
     the M-level segment proves the stream periodic from the first of the
     two indices on, so if p0 has not appeared by then it never will: No.
-    With ``low_memory`` the repeat is found by Brent's cycle finding
-    over the segment orbit instead of a hash table of all segments seen,
-    trading a second streaming pass for O(M) memory.
+    Repeats are found in a table of the segments seen, keyed by their
+    packed bits; with ``low_memory`` by Brent's cycle finding over the
+    segment orbit instead, trading a second streaming pass for O(M)
+    memory.
     """
-    if p0 not in set(game.states):
-        raise GameError(f"unknown state {p0!r}")
+    p = _state(game, p0)
     if low_memory:
-        return _solve_ecg_brent(game, p0, cap)
+        return _solve_ecg_brent(game, p, cap)
     # For j < record_from the segment is not yet j-independent
     # (enabledness thresholds still bite), so recording starts after it.
     record_from = max(game.max_decrement - 1, 1)
-    seen: dict[tuple, int] = {}
-    for j, segment in _segments(game):
-        if p0 in segment[-1]:
+    seen: dict[bytes, int] = {}
+    for j, segment in _segments(_Kernel(game)):
+        if segment[-1, p]:
             return EcgAnswer("yes", n=j)
         if cap is not None and j >= cap:
             return EcgAnswer("inconclusive", cap=cap)
         if j >= record_from:
-            first = seen.get(segment)
-            if first is not None:
+            first = seen.setdefault(_key(segment), j)
+            if first != j:
                 return EcgAnswer("no", repeat=(first, j))
-            seen[segment] = j
     raise AssertionError("unreachable")
 
 
-def _solve_ecg_brent(game: CountdownGame, p0: str, cap: int | None) -> EcgAnswer:
+def _solve_ecg_brent(game: CountdownGame, p: int, cap: int | None) -> EcgAnswer:
     # Prefix pass up to level s0; x0 is the segment ending there.
     s0 = max(game.max_decrement, 1)
-    for j, x0 in _segments(game):
-        if p0 in x0[-1]:
+    kernel = _Kernel(game)
+    for j, x0 in _segments(kernel):
+        if x0[-1, p]:
             return EcgAnswer("yes", n=j)
         if cap is not None and j >= cap:
             return EcgAnswer("inconclusive", cap=cap)
         if j == s0:
             break
 
-    def advance(seg: tuple, j: int) -> tuple[tuple, int] | EcgAnswer:
-        nxt = _next_segment(game, seg)
-        if p0 in nxt[-1]:
+    def advance(seg: np.ndarray, j: int) -> tuple[np.ndarray, int] | EcgAnswer:
+        nxt = _next_segment(kernel, seg, j + 1)
+        if nxt[-1, p]:
             return EcgAnswer("yes", n=j + 1)
         if cap is not None and j + 1 >= cap:
             return EcgAnswer("inconclusive", cap=cap)
@@ -176,7 +251,7 @@ def _solve_ecg_brent(game: CountdownGame, p0: str, cap: int | None) -> EcgAnswer
     if isinstance(step, EcgAnswer):
         return step
     hare, hare_j = step
-    while hare != tortoise:
+    while not np.array_equal(hare, tortoise):
         if power == lam:
             tortoise = hare
             power *= 2
@@ -187,16 +262,18 @@ def _solve_ecg_brent(game: CountdownGame, p0: str, cap: int | None) -> EcgAnswer
         hare, hare_j = step
         lam += 1
     # Find the first repeat start mu by advancing two segments lam apart.
+    # Every level here is past s0 >= M, so the level index no longer
+    # changes the recurrence.
     ahead = x0
     ahead_j = s0
     for _ in range(lam):
-        ahead = _next_segment(game, ahead)
         ahead_j += 1
+        ahead = _next_segment(kernel, ahead, ahead_j)
     back = x0
     back_j = s0
-    while back != ahead:
-        back = _next_segment(game, back)
+    while not np.array_equal(back, ahead):
         back_j += 1
-        ahead = _next_segment(game, ahead)
+        back = _next_segment(kernel, back, back_j)
         ahead_j += 1
+        ahead = _next_segment(kernel, ahead, ahead_j)
     return EcgAnswer("no", repeat=(back_j, ahead_j))

@@ -49,45 +49,60 @@ class InputDocument:
 # Parsing helpers
 
 
+def _at(path) -> str:
+    """A diagnostic path: a string, or a (template, index, ...) tuple that
+    is formatted only here, once a check has failed."""
+    return path if isinstance(path, str) else path[0].format(*path[1:])
+
+
 def _obj(value, path, required, optional=()):
+    if type(value) is dict and len(value) == len(required):
+        for key in required:
+            if key not in value:
+                break
+        else:
+            return value
     if not isinstance(value, dict):
-        raise DocumentError(f"{path}: expected object")
+        raise DocumentError(f"{_at(path)}: expected object")
     for key in required:
         if key not in value:
-            raise DocumentError(f"{path}.{key}: missing required field")
+            raise DocumentError(f"{_at(path)}.{key}: missing required field")
     allowed = set(required) | set(optional)
     for key in value:
         if key not in allowed:
-            raise DocumentError(f"{path}.{key}: unknown field")
+            raise DocumentError(f"{_at(path)}.{key}: unknown field")
     return value
 
 
 def _str(value, path) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"{path}: expected string")
+        raise DocumentError(f"{_at(path)}: expected string")
     return value
 
 
 def _int(value, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{path}: expected integer")
+        raise DocumentError(f"{_at(path)}: expected integer")
     return value
 
 
 def _list(value, path) -> list:
     if not isinstance(value, list):
-        raise DocumentError(f"{path}: expected array")
+        raise DocumentError(f"{_at(path)}: expected array")
     return value
 
 
 def _str_list(value, path) -> list:
-    return [_str(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
+    items = _list(value, path)
+    if all(type(v) is str for v in items):
+        return list(items)
+    return [_str(v, f"{_at(path)}[{i}]") for i, v in enumerate(items)]
 
 
 def _owner(value, path) -> str:
     owner = _str(value, path)
     if owner not in (EVE, ADAM):
-        raise DocumentError(f"{path}: owner must be \"{EVE}\" or \"{ADAM}\"")
+        raise DocumentError(f"{_at(path)}: owner must be \"{EVE}\" or \"{ADAM}\"")
     return owner
 
 
@@ -99,11 +114,10 @@ def _parse_lts(obj) -> Lts:
     _obj(obj, "$", ("kind", "states", "actions", "transitions"))
     transitions = []
     for i, t in enumerate(_list(obj["transitions"], "$.transitions")):
-        path = f"$.transitions[{i}]"
-        _obj(t, path, ("from", "action", "to"))
-        transitions.append((_str(t["from"], f"{path}.from"),
-                            _str(t["action"], f"{path}.action"),
-                            _str(t["to"], f"{path}.to")))
+        _obj(t, ("$.transitions[{}]", i), ("from", "action", "to"))
+        transitions.append((_str(t["from"], ("$.transitions[{}].from", i)),
+                            _str(t["action"], ("$.transitions[{}].action", i)),
+                            _str(t["to"], ("$.transitions[{}].to", i))))
     return Lts(states=_str_list(obj["states"], "$.states"),
                actions=_str_list(obj["actions"], "$.actions"),
                transitions=transitions)
@@ -114,42 +128,64 @@ def _parse_rgame(obj) -> RGame:
     vertices = []
     owner = {}
     for i, v in enumerate(_list(obj["vertices"], "$.vertices")):
-        path = f"$.vertices[{i}]"
-        _obj(v, path, ("name", "owner"))
-        name = _str(v["name"], f"{path}.name")
+        _obj(v, ("$.vertices[{}]", i), ("name", "owner"))
+        name = _str(v["name"], ("$.vertices[{}].name", i))
         vertices.append(name)
-        owner[name] = _owner(v["owner"], f"{path}.owner")
+        owner[name] = _owner(v["owner"], ("$.vertices[{}].owner", i))
     edges = []
     for i, e in enumerate(_list(obj["edges"], "$.edges")):
-        path = f"$.edges[{i}]"
-        _obj(e, path, ("from", "to"))
-        edges.append((_str(e["from"], f"{path}.from"), _str(e["to"], f"{path}.to")))
+        _obj(e, ("$.edges[{}]", i), ("from", "to"))
+        edges.append((_str(e["from"], ("$.edges[{}].from", i)),
+                      _str(e["to"], ("$.edges[{}].to", i))))
     targets = set(_str_list(obj["targets"], "$.targets"))
     return RGame(vertices=vertices, owner=owner, edges=edges, targets=targets)
 
 
+def _counter_state(s, i) -> tuple:
+    _obj(s, ("$.states[{}]", i), ("name", "owner"))
+    return (_str(s["name"], ("$.states[{}].name", i)),
+            _owner(s["owner"], ("$.states[{}].owner", i)))
+
+
+def _counter_rule(r, i, countdown) -> tuple:
+    _obj(r, ("$.rules[{}]", i), ("from", "delta", "to"))
+    delta = _int(r["delta"], ("$.rules[{}].delta", i))
+    if countdown and delta >= 0:
+        raise DocumentError(f"$.rules[{i}].delta: rule delta must be negative")
+    return (_str(r["from"], ("$.rules[{}].from", i)), delta,
+            _str(r["to"], ("$.rules[{}].to", i)))
+
+
 def _parse_counter_game(obj, kind):
+    # Games run to millions of rules, so each record is first matched
+    # against its plain shape inline; anything else goes through the
+    # checks above, which raise with its path.
     _obj(obj, "$", ("kind", "states", "rules", "target"))
     states = []
     eve = set()
     for i, s in enumerate(_list(obj["states"], "$.states")):
-        path = f"$.states[{i}]"
-        _obj(s, path, ("name", "owner"))
-        name = _str(s["name"], f"{path}.name")
+        if type(s) is dict and len(s) == 2:
+            name, owner = s.get("name"), s.get("owner")
+            if type(name) is not str or owner not in (EVE, ADAM):
+                name, owner = _counter_state(s, i)
+        else:
+            name, owner = _counter_state(s, i)
         states.append(name)
-        if _owner(s["owner"], f"{path}.owner") == EVE:
+        if owner == EVE:
             eve.add(name)
+    countdown = kind == "countdown"
     rules = []
     for i, r in enumerate(_list(obj["rules"], "$.rules")):
-        path = f"$.rules[{i}]"
-        _obj(r, path, ("from", "delta", "to"))
-        delta = _int(r["delta"], f"{path}.delta")
-        if kind == "countdown" and delta >= 0:
-            raise DocumentError(f"{path}.delta: rule delta must be negative")
-        rules.append((_str(r["from"], f"{path}.from"), delta,
-                      _str(r["to"], f"{path}.to")))
+        if type(r) is dict and len(r) == 3:
+            rule = (r.get("from"), r.get("delta"), r.get("to"))
+            if (type(rule[0]) is not str or type(rule[1]) is not int
+                    or type(rule[2]) is not str or countdown and rule[1] >= 0):
+                rule = _counter_rule(r, i, countdown)
+        else:
+            rule = _counter_rule(r, i, countdown)
+        rules.append(rule)
     target = _str(obj["target"], "$.target")
-    cls = CountdownGame if kind == "countdown" else SocnRGame
+    cls = CountdownGame if countdown else SocnRGame
     return cls(states=states, eve=eve, rules=rules, target=target)
 
 
@@ -160,15 +196,15 @@ def _parse_seqdesc(obj) -> SeqDescription:
         raise DocumentError("$.m: m >= 3 required")
     rules = {}
     for i, r in enumerate(_list(obj["rules"], "$.rules")):
-        path = f"$.rules[{i}]"
-        _obj(r, path, ("triple", "out"))
-        triple = _list(r["triple"], f"{path}.triple")
+        _obj(r, ("$.rules[{}]", i), ("triple", "out"))
+        triple = _list(r["triple"], ("$.rules[{}].triple", i))
         if len(triple) != 3:
-            raise DocumentError(f"{path}.triple: expected exactly 3 symbols")
-        key = tuple(_str(t, f"{path}.triple[{j}]") for j, t in enumerate(triple))
+            raise DocumentError(f"$.rules[{i}].triple: expected exactly 3 symbols")
+        key = tuple(_str(t, ("$.rules[{}].triple[{}]", i, j))
+                    for j, t in enumerate(triple))
         if key in rules:
-            raise DocumentError(f"{path}.triple: duplicate rule for {key}")
-        rules[key] = _str(r["out"], f"{path}.out")
+            raise DocumentError(f"$.rules[{i}].triple: duplicate rule for {key}")
+        rules[key] = _str(r["out"], ("$.rules[{}].out", i))
     return SeqDescription(alphabet=_str_list(obj["alphabet"], "$.alphabet"),
                           hash_symbol=_str(obj["hash"], "$.hash"),
                           blank=_str(obj["blank"], "$.blank"),
@@ -181,12 +217,11 @@ def _parse_socn(obj) -> Socn:
     _obj(obj, "$", ("kind", "states", "actions", "rules"))
     rules = []
     for i, r in enumerate(_list(obj["rules"], "$.rules")):
-        path = f"$.rules[{i}]"
-        _obj(r, path, ("from", "action", "delta", "to"))
-        rules.append(Rule(frm=_str(r["from"], f"{path}.from"),
-                          action=_str(r["action"], f"{path}.action"),
-                          delta=_int(r["delta"], f"{path}.delta"),
-                          to=_str(r["to"], f"{path}.to")))
+        _obj(r, ("$.rules[{}]", i), ("from", "action", "delta", "to"))
+        rules.append(Rule(frm=_str(r["from"], ("$.rules[{}].from", i)),
+                          action=_str(r["action"], ("$.rules[{}].action", i)),
+                          delta=_int(r["delta"], ("$.rules[{}].delta", i)),
+                          to=_str(r["to"], ("$.rules[{}].to", i))))
     return Socn(states=_str_list(obj["states"], "$.states"),
                 actions=_str_list(obj["actions"], "$.actions"),
                 rules=rules)
@@ -197,16 +232,16 @@ def _parse_tm(obj) -> TuringMachine:
                     "start", "accept", "reject", "delta"))
     delta = {}
     for i, t in enumerate(_list(obj["delta"], "$.delta")):
-        path = f"$.delta[{i}]"
-        _obj(t, path, ("state", "read", "next", "write", "move"))
-        key = (_str(t["state"], f"{path}.state"), _str(t["read"], f"{path}.read"))
-        move = _int(t["move"], f"{path}.move")
+        _obj(t, ("$.delta[{}]", i), ("state", "read", "next", "write", "move"))
+        key = (_str(t["state"], ("$.delta[{}].state", i)),
+               _str(t["read"], ("$.delta[{}].read", i)))
+        move = _int(t["move"], ("$.delta[{}].move", i))
         if move not in (-1, 0, 1):
-            raise DocumentError(f"{path}.move: expected -1, 0, or 1")
+            raise DocumentError(f"$.delta[{i}].move: expected -1, 0, or 1")
         if key in delta:
-            raise DocumentError(f"{path}: duplicate transition for {key}")
-        delta[key] = (_str(t["next"], f"{path}.next"),
-                      _str(t["write"], f"{path}.write"), move)
+            raise DocumentError(f"$.delta[{i}]: duplicate transition for {key}")
+        delta[key] = (_str(t["next"], ("$.delta[{}].next", i)),
+                      _str(t["write"], ("$.delta[{}].write", i)), move)
     return TuringMachine(states=_str_list(obj["states"], "$.states"),
                          start=_str(obj["start"], "$.start"),
                          accept=_str(obj["accept"], "$.accept"),
@@ -224,32 +259,34 @@ def _parse_certificate(obj) -> CertificateDoc:
     height = _int(obj["height"], "$.height")
     planes = {}
     for i, p in enumerate(_list(obj["planes"], "$.planes")):
-        path = f"$.planes[{i}]"
-        _obj(p, path, ("left", "right", "belt"), ())
-        key = (_str(p["left"], f"{path}.left"), _str(p["right"], f"{path}.right"))
+        _obj(p, ("$.planes[{}]", i), ("left", "right", "belt"), ())
+        key = (_str(p["left"], ("$.planes[{}].left", i)),
+               _str(p["right"], ("$.planes[{}].right", i)))
         if key in planes:
-            raise DocumentError(f"{path}: duplicate plane {key}")
-        belt = _obj(p["belt"], f"{path}.belt", ("kind", "base"),
+            raise DocumentError(f"$.planes[{i}]: duplicate plane {key}")
+        belt = _obj(p["belt"], ("$.planes[{}].belt", i), ("kind", "base"),
                     ("period", "inf_from"))
-        kind = _str(belt["kind"], f"{path}.belt.kind")
+        kind = _str(belt["kind"], ("$.planes[{}].belt.kind", i))
         if kind not in ("SF", "VF", "HF"):
-            raise DocumentError(f"{path}.belt.kind: expected SF, VF, or HF")
-        base = [_int(v, f"{path}.belt.base[{j}]")
-                for j, v in enumerate(_list(belt["base"], f"{path}.belt.base"))]
+            raise DocumentError(f"$.planes[{i}].belt.kind: expected SF, VF, or HF")
+        base = _list(belt["base"], ("$.planes[{}].belt.base", i))
+        if not all(type(v) is int for v in base):
+            base = [_int(v, ("$.planes[{}].belt.base[{}]", i, j))
+                    for j, v in enumerate(base)]
         period = None
         if "period" in belt:
-            raw = _list(belt["period"], f"{path}.belt.period")
+            raw = _list(belt["period"], ("$.planes[{}].belt.period", i))
             if len(raw) != 2:
-                raise DocumentError(f"{path}.belt.period: expected [dx, dy]")
-            period = (_int(raw[0], f"{path}.belt.period[0]"),
-                      _int(raw[1], f"{path}.belt.period[1]"))
-        inf_from = (_int(belt["inf_from"], f"{path}.belt.inf_from")
+                raise DocumentError(f"$.planes[{i}].belt.period: expected [dx, dy]")
+            period = (_int(raw[0], ("$.planes[{}].belt.period[0]", i)),
+                      _int(raw[1], ("$.planes[{}].belt.period[1]", i)))
+        inf_from = (_int(belt["inf_from"], ("$.planes[{}].belt.inf_from", i))
                     if "inf_from" in belt else None)
         if kind == "SF" and period is None:
-            raise DocumentError(f"{path}.belt: SF belt needs a period")
+            raise DocumentError(f"$.planes[{i}].belt: SF belt needs a period")
         if kind == "HF" and inf_from is None:
-            raise DocumentError(f"{path}.belt: HF belt needs inf_from")
-        planes[key] = PlaneBelt(kind=kind, base=base, period=period,
+            raise DocumentError(f"$.planes[{i}].belt: HF belt needs inf_from")
+        planes[key] = PlaneBelt(kind=kind, base=list(base), period=period,
                                 inf_from=inf_from)
     return CertificateDoc(certificate=BeltCertificate(height=height, planes=planes),
                           net_sha256=_str(obj["net_sha256"], "$.net_sha256"))

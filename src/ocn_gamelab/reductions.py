@@ -54,14 +54,11 @@ def seqdesc_to_countdown(d: SeqDescription) -> tuple:
     """
     m = d.m
     sym_state = {b: f"s[{b}]" for b in d.alphabet}
-
-    def t_state(triple) -> str:
-        return f"t[{triple[0]}|{triple[1]}|{triple[2]}]"
-
     triples = list(product(d.alphabet, repeat=3))
+    names = [f"t[{x}|{y}|{z}]" for x, y, z in triples]
     states = (["p_win", "p_bad", "p1", "p2"]
               + [sym_state[b] for b in d.alphabet]
-              + [t_state(t) for t in triples])
+              + names)
     eve = {"p_win", "p_bad", "p1"} | {sym_state[b] for b in d.alphabet}
     rules = [
         ("p1", -1, "p1"),
@@ -71,14 +68,11 @@ def seqdesc_to_countdown(d: SeqDescription) -> tuple:
         (sym_state[d.blank], -1, "p2"),
         (sym_state[d.hash_symbol], -2, "p_win"),
     ]
-    for t in triples:
-        out = d.apply(*t)
-        rules.append((sym_state[out], -(m - 2), t_state(t)))
-    for t in triples:
-        name = t_state(t)
-        rules.append((name, -3, sym_state[t[0]]))
-        rules.append((name, -2, sym_state[t[1]]))
-        rules.append((name, -1, sym_state[t[2]]))
+    out = [sym_state[d.rules.get(t, d.default)] for t in triples]  # d.apply(*t)
+    rules += [(s, -(m - 2), name) for s, name in zip(out, names)]
+    rules += [rule for (x, y, z), name in zip(triples, names)
+              for rule in ((name, -3, sym_state[x]), (name, -2, sym_state[y]),
+                           (name, -1, sym_state[z]))]
     game = CountdownGame(states=states, eve=eve, rules=rules, target="p_win")
     return game, sym_state
 

@@ -127,27 +127,46 @@ class SocnRGame:
     target: str
 
     def __post_init__(self):
-        ss = set(self.states)
-        if len(ss) != len(self.states):
+        """Validate the game in one pass over the rules, which also
+        resolves each rule's states to indices for :meth:`_index_rules`."""
+        index = {s: i for i, s in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise GameError("duplicate states")
-        extra = set(self.eve) - ss
+        extra = set(self.eve) - index.keys()
         if extra:
             raise GameError(f"eve set references unknown states: {sorted(extra)}")
+        src, deltas, tgt = [], [], []
+        get = index.get
         for frm, z, to in self.rules:
-            if frm not in ss or to not in ss:
+            a = get(frm)
+            b = None if a is None else get(to)
+            if b is None:
                 raise GameError(f"rule ({frm!r},{z},{to!r}) references unknown state")
             if not isinstance(z, int):
                 raise GameError(f"rule delta {z!r} is not an integer")
-        if self.target not in ss:
+            src.append(a)
+            deltas.append(z)
+            tgt.append(b)
+        if self.target not in index:
             raise GameError(f"target {self.target!r} is not a state")
-        self._rules_from = {s: [] for s in self.states}
-        for frm, z, to in self.rules:
-            self._rules_from[frm].append((z, to))
+        self._index = index
+        self._rules_from = None
+        self._index_rules(src, deltas, tgt)
+
+    def _index_rules(self, src: list, deltas: list, tgt: list) -> None:
+        """Checks and tables of a subclass, from the rules' state indices
+        and deltas in rule order; runs after every check above."""
 
     def owner(self, state: str) -> str:
         return EVE if state in self.eve else ADAM
 
     def rules_from(self, state: str) -> list[tuple[int, str]]:
+        """(delta, target) of each rule from ``state``, in rule order.
+        Built on the first call: only the small-game paths use it."""
+        if self._rules_from is None:
+            self._rules_from = {s: [] for s in self.states}
+            for frm, z, to in self.rules:
+                self._rules_from[frm].append((z, to))
         return self._rules_from[state]
 
 

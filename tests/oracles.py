@@ -12,8 +12,8 @@ import signal
 
 import numpy as np
 
-from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, Lts,
-                         PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
+from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, EcgAnswer,
+                         Lts, PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
                          head_symbol, successors, winning_area)
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,133 @@ def recursive_cg(game: CountdownGame, p0: str, n0: int) -> bool:
         return out
 
     return win(p0, n0)
+
+
+# The pure-Python level recurrence the array kernel replaced: a segment
+# is a tuple of the last max(M, 1) levels as frozensets, None for levels
+# below 0, and each level visits every state's rules in order.
+
+
+def _reference_rules_from(game: CountdownGame) -> dict:
+    rules_from = {s: [] for s in game.states}
+    for frm, z, to in game.rules:
+        rules_from[frm].append((z, to))
+    return rules_from
+
+
+def _reference_next_segment(game, rules_from: dict, segment: tuple) -> tuple:
+    w = len(segment)
+    won = set()
+    for q in game.states:
+        eve = q in game.eve
+        enabled = 0
+        good = 0
+        for z, to in rules_from[q]:
+            level = segment[w + z]
+            if level is None:
+                continue
+            enabled += 1
+            if to in level:
+                good += 1
+                if eve:
+                    break
+        if (eve and good) or (not eve and enabled and enabled == good):
+            won.add(q)
+    return segment[1:] + (frozenset(won),)
+
+
+def _reference_segments(game: CountdownGame):
+    rules_from = _reference_rules_from(game)
+    m = max((-z for _, z, _ in game.rules), default=0)
+    segment = (None,) * (max(m, 1) - 1) + (frozenset({game.target}),)
+    for j in itertools.count():
+        yield j, segment
+        segment = _reference_next_segment(game, rules_from, segment)
+
+
+def reference_levels(game: CountdownGame, upto: int) -> list:
+    """[W(0), ..., W(upto)] as frozensets of state names."""
+    out = []
+    for j, segment in _reference_segments(game):
+        if j > upto:
+            return out
+        out.append(segment[-1])
+
+
+def reference_solve_ecg(game: CountdownGame, p0: str, cap=None,
+                        low_memory: bool = False) -> EcgAnswer:
+    """The existential countdown game over the reference recurrence, with
+    the same answers as ``solve_ecg``: the hash table of segments, or
+    Brent's cycle finding."""
+    m = max((-z for _, z, _ in game.rules), default=0)
+    if not low_memory:
+        seen = {}
+        for j, segment in _reference_segments(game):
+            if p0 in segment[-1]:
+                return EcgAnswer("yes", n=j)
+            if cap is not None and j >= cap:
+                return EcgAnswer("inconclusive", cap=cap)
+            if j >= max(m - 1, 1):
+                if segment in seen:
+                    return EcgAnswer("no", repeat=(seen[segment], j))
+                seen[segment] = j
+    s0 = max(m, 1)
+    for j, x0 in _reference_segments(game):
+        if p0 in x0[-1]:
+            return EcgAnswer("yes", n=j)
+        if cap is not None and j >= cap:
+            return EcgAnswer("inconclusive", cap=cap)
+        if j == s0:
+            break
+    rules_from = _reference_rules_from(game)
+
+    def step(seg):
+        return _reference_next_segment(game, rules_from, seg)
+
+    power = lam = 1
+    tortoise, hare, hare_j = x0, step(x0), s0 + 1
+    while True:
+        if p0 in hare[-1]:
+            return EcgAnswer("yes", n=hare_j)
+        if cap is not None and hare_j >= cap:
+            return EcgAnswer("inconclusive", cap=cap)
+        if hare == tortoise:
+            break
+        if power == lam:
+            tortoise, power, lam = hare, power * 2, 0
+        hare, hare_j, lam = step(hare), hare_j + 1, lam + 1
+    ahead, ahead_j = x0, s0
+    for _ in range(lam):
+        ahead, ahead_j = step(ahead), ahead_j + 1
+    back, back_j = x0, s0
+    while back != ahead:
+        back, back_j = step(back), back_j + 1
+        ahead, ahead_j = step(ahead), ahead_j + 1
+    return EcgAnswer("no", repeat=(back_j, ahead_j))
+
+
+def reference_game_error(states, eve, rules, target, countdown: bool):
+    """The message of the first check a counter game fails, in the order
+    of the separate checks of the two game classes (every check of the
+    base game, then the countdown deltas), or None."""
+    ss = set(states)
+    if len(ss) != len(states):
+        return "duplicate states"
+    extra = set(eve) - ss
+    if extra:
+        return f"eve set references unknown states: {sorted(extra)}"
+    for frm, z, to in rules:
+        if frm not in ss or to not in ss:
+            return f"rule ({frm!r},{z},{to!r}) references unknown state"
+        if not isinstance(z, int):
+            return f"rule delta {z!r} is not an integer"
+    if target not in ss:
+        return f"target {target!r} is not a state"
+    if countdown:
+        for frm, z, to in rules:
+            if z >= 0:
+                return f"countdown rule ({frm!r},{z},{to!r}) must have negative delta"
+    return None
 
 
 # ---------------------------------------------------------------------------

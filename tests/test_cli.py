@@ -74,6 +74,25 @@ def test_cg_solve_win_and_lose(capsys, cg_doc):
     assert (code, out) == (1, "LOSE\n")
 
 
+def test_cg_solve_at_a_binary_counter(capsys, cg_doc):
+    with time_limit(1.0):
+        code, out, err = run(capsys, "cg", "solve", "--game", cg_doc,
+                             "--state", "p0", "--n", str(10 ** 18))
+    assert (code, out, err) == (1, "LOSE\n", "")
+
+
+def test_cg_solve_refuses_an_oversized_segment(capsys, tmp_path):
+    game = CountdownGame(states=["p0", "p_win"], eve={"p0"},
+                         rules=[("p0", -(2 ** 40), "p_win")], target="p_win")
+    doc = write_doc(tmp_path / "huge.json", "countdown", game)
+    with time_limit(1.0):
+        code, out, err = run(capsys, "cg", "solve", "--game", doc,
+                             "--state", "p0", "--n", "3")
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: countdown segment needs 1099511627776 levels")
+    assert err.count("\n") == 1
+
+
 def test_ecg_solve_all_outcomes(capsys, cg_doc, hopeless_cg_doc):
     code, out, _ = run(capsys, "ecg", "solve", "--game", cg_doc,
                        "--state", "p0")
@@ -279,6 +298,27 @@ def test_render_all_manifest(capsys, drain_net_doc, tmp_path):
     assert manifest[3].startswith("plane_p_q1.pgm\t(p,q1)\t")
     pq = next(l for l in manifest if l.startswith("plane_p_q.pgm"))
     assert "SF alpha=1/2" in pq
+
+
+def test_repeated_calls_in_one_process_equal_fresh_calls(capsys, cg_doc, seq_doc,
+                                                        monkeypatch):
+    from ocn_gamelab import cli
+    calls = [["cg", "solve", "--game", cg_doc, "--state", "p0", "--n", "2"],
+             ["cg", "solve", "--game", cg_doc, "--state", "p0", "--n", "3"],
+             ["cg", "solve", "--game", cg_doc, "--n", "2"],
+             ["ecg", "solve", "--game", cg_doc, "--state", "p0", "--low-memory"],
+             ["frobnicate"],
+             ["seq", "eval", "--desc", seq_doc, "--i", "0"],
+             ["cg", "solve", "--game", cg_doc, "--state", "p0", "--n", "x"],
+             ["ecg", "solve", "--game", cg_doc, "--state", "p0"]]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 1, 3, 0, 3, 0, 3, 0]
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert [run(capsys, *argv) for argv in calls] == fresh
 
 
 def test_usage_errors_exit_3(capsys):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocn_gamelab import (CountdownGame, GameError, expand_region, solve_cg,
-                         solve_ecg, win_levels_stream, winning_area)
+from ocn_gamelab import (CountdownGame, GameError, SocnRGame, doubleexp_period_instance,
+                         expand_region, seqdesc_to_countdown, solve_cg, solve_ecg,
+                         win_levels_stream, winning_area)
 
-from oracles import random_countdown, recursive_cg
+from oracles import (random_countdown, random_socnrgame, recursive_cg,
+                     reference_game_error, reference_levels, reference_solve_ecg,
+                     time_limit)
 
 
 def levels(game, upto):
@@ -190,3 +193,133 @@ def generated_countdowns(draw):
 def test_solver_matches_recursive_oracle_on_generated_games(game, n0):
     for q in game.states:
         assert solve_cg(game, q, n0) == recursive_cg(game, q, n0)
+
+
+def kernel_corpus(count: int = 300) -> list:
+    """Random countdown games with M up to 6, every tenth with duplicated
+    rules and every thirtieth with no rules at all."""
+    rng = random.Random(1515)
+    games = []
+    for k in range(count):
+        g = random_countdown(rng, max_dec=6)
+        if k % 30 == 0:
+            g = CountdownGame(g.states, g.eve, [], g.target)
+        elif k % 10 == 0:
+            g = CountdownGame(g.states, g.eve, g.rules + rng.sample(g.rules, 1) + g.rules,
+                              g.target)
+        games.append(g)
+    return games
+
+
+def test_corpus_covers_the_corner_cases():
+    games = kernel_corpus()
+    assert any(not g.rules for g in games)
+    assert any(len(set(g.rules)) < len(g.rules) for g in games)
+    assert any(q not in g.eve and all(frm != q for frm, _, _ in g.rules)
+               for g in games if g.rules for q in g.states)
+    assert max(g.max_decrement for g in games) == 6
+
+
+def test_kernel_matches_reference_recurrence():
+    for g in kernel_corpus():
+        assert levels(g, 200) == reference_levels(g, 200), g
+
+
+def test_kernel_matches_reference_on_doubleexp_game():
+    game, _ = seqdesc_to_countdown(doubleexp_period_instance(1))
+    assert len(game.states) == 328_582 and len(game.rules) == 1_314_042
+    assert levels(game, 6) == reference_levels(game, 6)
+
+
+@pytest.mark.parametrize("cap", [None, 3, 40])
+def test_ecg_answers_match_reference(cap):
+    for g in kernel_corpus():
+        for p0 in g.states:
+            for low_memory in (False, True):
+                assert solve_ecg(g, p0, cap=cap, low_memory=low_memory) == \
+                    reference_solve_ecg(g, p0, cap=cap, low_memory=low_memory), (g, p0)
+
+
+def test_solve_cg_jump_matches_streaming():
+    for g in kernel_corpus()[:30]:
+        ws = reference_levels(g, 400)
+        for p0 in g.states[:2]:
+            for n0 in range(401):
+                assert solve_cg(g, p0, n0) == (p0 in ws[n0]), (g, p0, n0)
+
+
+def test_solve_cg_jumps_over_the_cycle_at_a_binary_counter():
+    g = CountdownGame(states=["p0", "p_win"], eve={"p0"},
+                      rules=[("p0", -2, "p_win")], target="p_win")
+    with time_limit(1.0):
+        assert solve_cg(g, "p0", 10 ** 18) is False
+        assert solve_cg(g, "p0", 2) is True
+        assert solve_cg(g, "p_win", 10 ** 18) is False
+        assert solve_cg(g, "p_win", 0) is True
+    # p0 wins at every even counter from 2 on: two moves of its loop.
+    loop = CountdownGame(states=["p0", "p_win"], eve={"p0"},
+                         rules=[("p0", -2, "p_win"), ("p0", -2, "p0")],
+                         target="p_win")
+    with time_limit(1.0):
+        assert solve_cg(loop, "p0", 10 ** 18) is True
+        assert solve_cg(loop, "p0", 10 ** 18 + 1) is False
+
+
+def test_oversized_segment_is_refused():
+    g = CountdownGame(states=["a", "b"], eve={"a"}, rules=[("a", -(2 ** 40), "b")],
+                      target="b")
+    assert g.max_decrement == 2 ** 40
+    with time_limit(1.0), pytest.raises(MemoryError, match="countdown segment"):
+        solve_cg(g, "a", 5)
+
+
+def test_validation_reports_the_first_fault_in_the_old_order():
+    # An unknown state in a late rule wins over a nonnegative delta in an
+    # early one: every check of the base game runs before the deltas.
+    with pytest.raises(GameError, match=r"^rule \('a',-1,'zz'\) references unknown"):
+        CountdownGame(["a"], set(), [("a", 0, "a"), ("a", -1, "zz")], "a")
+    # A missing target also wins over an early nonnegative delta.
+    with pytest.raises(GameError, match=r"^target 'zz' is not a state"):
+        CountdownGame(["a"], set(), [("a", 2, "a")], "zz")
+    # Among the rules, the first faulty rule decides, whatever its fault.
+    with pytest.raises(GameError, match=r"^rule delta 1.5 is not an integer"):
+        CountdownGame(["a"], set(), [("a", 1.5, "a"), ("b", -1, "a")], "a")
+    with pytest.raises(GameError, match=r"^countdown rule \('a',3,'a'\)"):
+        CountdownGame(["a"], set(), [("a", -1, "a"), ("a", 3, "a"), ("a", 0, "a")], "a")
+
+
+def test_validation_messages_match_reference_on_faulty_games():
+    rng = random.Random(77)
+    names = ["q0", "q1", "q2", "zz"]
+    deltas = [-3, -1, 0, 2, 1.5, "x", True]
+    checked = 0
+    for _ in range(2000):
+        states = rng.sample(names[:3], rng.randint(1, 3))
+        if rng.random() < 0.1:
+            states.append(states[0])
+        eve = set(rng.sample(names, rng.randint(0, 2)))
+        rules = [(rng.choice(names), rng.choice(deltas) if rng.random() < 0.3
+                  else -rng.randint(1, 4), rng.choice(names))
+                 for _ in range(rng.randint(0, 6))]
+        target = rng.choice(names)
+        for cls in (SocnRGame, CountdownGame):
+            want = reference_game_error(states, eve, rules, target,
+                                        cls is CountdownGame)
+            if want is None:
+                cls(states, eve, rules, target)
+                continue
+            with pytest.raises(GameError) as err:
+                cls(states, eve, rules, target)
+            assert str(err.value) == want
+            checked += 1
+    assert checked > 1000
+
+
+def test_rules_from_lists_every_rule_in_order():
+    rng = random.Random(99)
+    games = kernel_corpus(60) + [random_socnrgame(rng) for _ in range(60)]
+    for g in games:
+        for q in g.states:
+            assert g.rules_from(q) == [(z, to) for frm, z, to in g.rules if frm == q]
+        with pytest.raises(KeyError):
+            g.rules_from("not a state")

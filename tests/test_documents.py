@@ -203,3 +203,32 @@ def test_roundtrip_on_generated_nets(net):
     assert tuple(back.value.states) == net.states
     assert tuple(back.value.actions) == net.actions
     assert tuple(back.value.rules) == net.rules
+
+
+def test_fault_deep_in_a_large_rule_list_keeps_its_path():
+    rules = [{"from": "a", "delta": -1, "to": "b"} for _ in range(50_000)]
+    good = {"kind": "countdown", "target": "b",
+            "states": [{"name": "a", "owner": EVE}, {"name": "b", "owner": ADAM}],
+            "rules": rules}
+    assert len(parse_document(json.dumps(good).encode()).value.rules) == 50_000
+    k = 43_210
+    faults = [
+        ({"from": "a", "delta": "x", "to": "b"}, "$.rules[43210].delta: expected integer"),
+        ({"from": "a", "delta": 0, "to": "b"},
+         "$.rules[43210].delta: rule delta must be negative"),
+        ({"from": "a", "delta": -1}, "$.rules[43210].to: missing required field"),
+        ({"from": "a", "delta": -1, "to": "b", "x": 1}, "$.rules[43210].x: unknown field"),
+        ({"from": 7, "delta": -1, "to": "b"}, "$.rules[43210].from: expected string"),
+        ({"from": "a", "delta": False, "to": "b"}, "$.rules[43210].delta: expected integer"),
+        (["a", -1, "b"], "$.rules[43210]: expected object"),
+    ]
+    for rule, message in faults:
+        bad = dict(good, rules=rules[:k] + [rule] + rules[k + 1:])
+        with pytest.raises(DocumentError) as err:
+            parse_document(json.dumps(bad).encode())
+        assert str(err.value) == message
+    states = good["states"] + [{"name": f"s{i}", "owner": ADAM} for i in range(k)]
+    bad = dict(good, states=states + [{"name": "z", "owner": "X"}])
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(bad).encode())
+    assert str(err.value) == f'$.states[{k + 2}].owner: owner must be "{EVE}" or "{ADAM}"'
