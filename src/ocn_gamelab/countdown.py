@@ -38,27 +38,27 @@ _INT32_MAX = 2 ** 31 - 1
 class CountdownGame(SocnRGame):
     """A counter game whose rules all strictly decrease the counter.
 
-    Besides the rules themselves the game keeps them as int32 arrays
-    sorted by decrement (stable, so rule order within a decrement):
-    ``_src``, ``_dec`` and ``_tgt``, plus the Eve mask ``_eve`` over
-    state indices.
+    Besides the rule tables in rule order behind ``rules`` (a
+    :class:`~ocn_gamelab.rgame.RuleView`) the game keeps the rules as
+    int32 arrays sorted by decrement (stable, so rule order within a
+    decrement): ``_src``, ``_dec`` and ``_tgt``, plus the Eve mask
+    ``_eve`` over state indices.
     """
 
-    def _index_rules(self, src: list, deltas: list, tgt: list) -> None:
-        if deltas and max(deltas) >= 0:
-            i = next(i for i, z in enumerate(deltas) if z >= 0)
-            frm, z, to = self.rules[i]
+    def _index_rules(self, src: np.ndarray, deltas: np.ndarray, tgt: np.ndarray) -> None:
+        if len(deltas) and deltas.max() >= 0:
+            frm, z, to = self.rules[int(np.argmax(deltas >= 0))]
             raise GameError(
                 f"countdown rule ({frm!r},{z},{to!r}) must have negative delta")
-        self._max_decrement = -min(deltas, default=0)
+        self._max_decrement = -int(deltas.min()) if len(deltas) else 0
         if self._max_decrement > _INT32_MAX:
             # Only the segment guard reads a decrement this large.
-            deltas = [max(z, -_INT32_MAX) for z in deltas]
-        dec = -np.array(deltas, dtype=np.int32)
+            deltas = np.maximum(deltas, -_INT32_MAX)
+        dec = -deltas.astype(np.int32)
         order = np.argsort(dec, kind="stable")
         self._dec = dec[order]
-        self._src = np.array(src, dtype=np.int32)[order]
-        self._tgt = np.array(tgt, dtype=np.int32)[order]
+        self._src = src[order]
+        self._tgt = tgt[order]
         self._eve = np.zeros(len(self.states), dtype=bool)
         self._eve[[self._index[s] for s in self.eve]] = True
 

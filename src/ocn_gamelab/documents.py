@@ -4,7 +4,11 @@ Each document is a JSON object with a ``kind`` tag and a fixed field
 set; unknown fields and type mismatches are rejected with a path
 diagnostic like ``$.rules[3].delta: expected integer``.  Serialization
 is canonical: sorted keys, compact separators, entry lists in a fixed
-order, one trailing newline.  Certificates embed the SHA-256 of their
+order, one trailing newline.  Counter games (``countdown`` and
+``socn-rgame``), which run to millions of rules, are written straight
+from their rule index tables with each state name escaped once, in the
+same bytes as ``json.dumps`` of the sorted-key payload; every other kind
+goes through ``json.dumps``.  Certificates embed the SHA-256 of their
 net's canonical serialization so a stale certificate cannot be
 verified against the wrong net.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .countdown import CountdownGame
 from .lts import Lts
@@ -337,13 +342,40 @@ def _rgame_payload(game: RGame):
             "targets": sorted(game.targets)}
 
 
-def _counter_game_payload(game: SocnRGame, kind: str):
-    return {"kind": kind,
-            "states": [{"name": s, "owner": EVE if s in game.eve else ADAM}
-                       for s in game.states],
-            "rules": [{"from": frm, "delta": z, "to": to}
-                      for frm, z, to in game.rules],
-            "target": game.target}
+def _json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _counter_game_bytes(game: SocnRGame, kind: str) -> bytes:
+    """A countdown or socn-rgame document written from the game's index
+    tables: each state name is escaped once and each rule is emitted as
+    {"delta":..,"from":..,"to":..} in rule order, the bytes ``json.dumps``
+    gives the sorted-key payload."""
+    try:
+        names = list(map(encode_basestring_ascii, game.states))
+    except TypeError:
+        names = [encode_basestring_ascii(s) if type(s) is str else _json(s)
+                 for s in game.states]
+    eve = game.eve
+    states = ",".join([f'{{"name":{name},"owner":"{EVE if s in eve else ADAM}"}}'
+                       for s, name in zip(game.states, names)])
+    rules = game.rules
+    parts = [f'{{"kind":"{kind}","rules":['.encode()]
+    for lo in range(0, len(rules), _RULE_CHUNK):
+        hi = lo + _RULE_CHUNK
+        deltas = rules.delta[lo:hi].tolist()
+        if rules.delta.dtype == object:
+            deltas = list(map(_json, deltas))
+        chunk = ",".join([f'{{"delta":{z},"from":{names[a]},"to":{names[b]}}}'
+                          for a, z, b in zip(rules.src[lo:hi].tolist(), deltas,
+                                             rules.tgt[lo:hi].tolist())])
+        parts.append((chunk + "," if hi < len(rules) else chunk).encode())
+    parts.append(f'],"states":[{states}],"target":{_json(game.target)}}}\n'.encode())
+    return b"".join(parts)
+
+
+# Rules per encoded piece of a counter-game document.
+_RULE_CHUNK = 1 << 16
 
 
 def _seqdesc_payload(d: SeqDescription):
@@ -388,13 +420,13 @@ def serialize_document(doc: InputDocument) -> bytes:
     builders = {
         "lts": _lts_payload,
         "rgame": _rgame_payload,
-        "socn-rgame": lambda v: _counter_game_payload(v, "socn-rgame"),
-        "countdown": lambda v: _counter_game_payload(v, "countdown"),
         "seqdesc": _seqdesc_payload,
         "socn": _socn_payload,
         "tm": _tm_payload,
         "certificate": _certificate_payload,
     }
+    if doc.kind in ("countdown", "socn-rgame"):
+        return _counter_game_bytes(doc.value, doc.kind)
     if doc.kind not in builders:
         raise DocumentError(f"$.kind: cannot serialize kind {doc.kind!r}")
     payload = builders[doc.kind](doc.value)

@@ -16,12 +16,20 @@ Naming is deterministic so reduction outputs are byte-reproducible:
 primed copies append an apostrophe, composite states use bracketed
 forms like ch[q], pr[q|r], via[q|r], and actions are a_c, a_win, and
 a[q->r].
+
+The word game of a sequence description has a state per symbol triple
+and four rules per triple, millions of rules for the double-exponential
+family, so its reduction numbers every state by construction and hands
+the game int32 index tables; no rule tuple is built unless a caller
+reads ``game.rules``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .countdown import CountdownGame
 from .lts import Lts
@@ -51,29 +59,47 @@ def seqdesc_to_countdown(d: SeqDescription) -> tuple:
     counter on that position's own query, and the initial stretch is
     settled by the hash and blank house states.  Returns the game and
     the symbol-to-state map.
+
+    States are the house states p_win, p_bad, p1, p2, then s[b] for
+    each symbol b, then t[x|y|z] for each triple in product order, so
+    every rule's state indices are known by construction and the game
+    is built from index tables (:meth:`SocnRGame.from_tables`) without
+    a rule tuple.  Rules, in order: the six house rules; for each
+    triple t, (s[d.apply(*t)], -(m-2), t); for each triple (x,y,z),
+    (t, -3, s[x]), (t, -2, s[y]), (t, -1, s[z]).
     """
     m = d.m
-    sym_state = {b: f"s[{b}]" for b in d.alphabet}
-    triples = list(product(d.alphabet, repeat=3))
-    names = [f"t[{x}|{y}|{z}]" for x, y, z in triples]
-    states = (["p_win", "p_bad", "p1", "p2"]
-              + [sym_state[b] for b in d.alphabet]
-              + names)
-    eve = {"p_win", "p_bad", "p1"} | {sym_state[b] for b in d.alphabet}
-    rules = [
-        ("p1", -1, "p1"),
-        ("p1", -1, "p_win"),
-        ("p2", -1, "p1"),
-        ("p2", -(m + 2), "p_bad"),
-        (sym_state[d.blank], -1, "p2"),
-        (sym_state[d.hash_symbol], -2, "p_win"),
-    ]
-    out = [sym_state[d.rules.get(t, d.default)] for t in triples]  # d.apply(*t)
-    rules += [(s, -(m - 2), name) for s, name in zip(out, names)]
-    rules += [rule for (x, y, z), name in zip(triples, names)
-              for rule in ((name, -3, sym_state[x]), (name, -2, sym_state[y]),
-                           (name, -1, sym_state[z]))]
-    game = CountdownGame(states=states, eve=eve, rules=rules, target="p_win")
+    if not isinstance(m, int):
+        raise GameError(f"rule delta {-(m + 2)!r} is not an integer")
+    alphabet = d.alphabet
+    k = len(alphabet)
+    sym_state = {b: f"s[{b}]" for b in alphabet}
+    sym = {b: 4 + i for i, b in enumerate(alphabet)}
+    tails = [f"{z}]" for z in alphabet]
+    heads = [f"t[{x}|{y}|" for x, y in product(alphabet, repeat=2)]
+    states = (["p_win", "p_bad", "p1", "p2"] + list(sym_state.values())
+              + [head + tail for head in heads for tail in tails])
+    eve = {"p_win", "p_bad", "p1"} | set(sym_state.values())
+    # Triple number t = (x*k + y)*k + z by symbol numbers, in product
+    # order; t[x|y|z] is state 4 + k + t.  out[t] is the state of
+    # d.apply(x, y, z), and only a tuple key can equal a triple.
+    out = np.full(k ** 3, sym[d.default], dtype=np.int32)
+    for key, b in d.rules.items():
+        if isinstance(key, tuple):
+            x, y, z = (sym[c] - 4 for c in key)
+            out[(x * k + y) * k + z] = sym[b]
+    t = np.arange(k ** 3, dtype=np.int32)
+    challenged = 4 + np.stack([t // (k * k), t // k % k, t % k], axis=1).ravel()
+    src = np.concatenate([np.array([2, 2, 3, 3, sym[d.blank], sym[d.hash_symbol]],
+                                   dtype=np.int32),
+                          out, np.repeat(4 + k + t, 3)])
+    tgt = np.concatenate([np.array([2, 0, 2, 1, 3, 0], dtype=np.int32),
+                          4 + k + t, challenged])
+    dtype = np.int64 if m + 2 <= np.iinfo(np.int64).max else object
+    deltas = np.concatenate([np.array([-1, -1, -1, -(m + 2), -1, -2], dtype=dtype),
+                             np.full(k ** 3, -(m - 2), dtype=dtype),
+                             np.tile(np.array([-3, -2, -1], dtype=dtype), k ** 3)])
+    game = CountdownGame.from_tables(states, eve, src, deltas, tgt, "p_win")
     return game, sym_state
 
 

@@ -5,7 +5,8 @@ counter rightward and the defender's counter upward, black for
 simulation candidates and white for refuted cells.  Plain PGM keeps
 the output dependency-free and diff-able; SVG adds the frontier
 polyline and fitted belt lines as overlays.  Identical inputs give
-identical bytes.
+identical bytes.  A PGM over ``DEFAULT_CELL_BUDGET`` pixels is refused
+with ``ResourceGuardError`` before any of it is built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ocnsim import INF, BeltFit, PlaneColoring, frontier
+from .ocnsim import (DEFAULT_CELL_BUDGET, INF, BeltFit, PlaneColoring,
+                     ResourceGuardError, frontier)
 
 
 class RenderError(ValueError):
@@ -63,6 +65,12 @@ def render_plane(coloring: PlaneColoring, spec: RenderSpec,
 
 def _render_pgm(coloring: PlaneColoring, cs: int) -> bytes:
     r = coloring.interior
+    # About two bytes per pixel, so the image is refused before a row
+    # of it is built.
+    if (r * cs) ** 2 > DEFAULT_CELL_BUDGET:
+        raise ResourceGuardError(
+            f"PGM image needs {r * cs}x{r * cs} pixels ({r} cells of size {cs}), "
+            f"more than {DEFAULT_CELL_BUDGET}")
     white = coloring.interior_view()
     lines = ["P2", f"{r * cs} {r * cs}", "1"]
     for n in reversed(range(r)):

@@ -12,7 +12,11 @@ finite box so the finite solver applies.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 EVE = "E"
 ADAM = "A"
@@ -111,51 +115,148 @@ def winning_area(game: RGame) -> WinningArea:
     return WinningArea(rank_of)
 
 
+class RuleView(Sequence):
+    """The rules of a counter game as a read-only sequence of
+    (from_state, delta, to_state) tuples in rule order.
+
+    The view reads them off the game's index tables: ``src`` and ``tgt``
+    (int32 state indices) and ``delta`` (int64, or an object array of
+    the exact deltas when one does not fit or is not a plain int).
+    ``len`` is O(1) and a tuple is built only when it is read; ``==``
+    compares with any list or view of the same tuples, and ``+`` gives
+    a list.
+    """
+
+    __slots__ = ("states", "src", "delta", "tgt")
+
+    def __init__(self, states, src: np.ndarray, delta: np.ndarray, tgt: np.ndarray):
+        self.states, self.src, self.delta, self.tgt = states, src, delta, tgt
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, i: int) -> tuple:
+        n = len(self.src)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("rule index out of range")
+        return (self.states[self.src[i]], self.delta.item(i), self.states[self.tgt[i]])
+
+    def __iter__(self):
+        # In chunks, so a full pass holds no more than one chunk of
+        # Python ints besides the tuples it hands out.
+        name = self.states.__getitem__
+        for lo in range(0, len(self.src), _CHUNK):
+            hi = lo + _CHUNK
+            yield from zip(map(name, self.src[lo:hi].tolist()),
+                           self.delta[lo:hi].tolist(),
+                           map(name, self.tgt[lo:hi].tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RuleView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+_CHUNK = 1 << 16
+
+
+def _delta_table(deltas: list, plain: bool) -> np.ndarray:
+    """Deltas as an int64 array, or as an object array of the given
+    objects when they are not all plain ints (``plain``) within int64."""
+    if plain:
+        try:
+            return np.array(deltas, dtype=np.int64)
+        except OverflowError:
+            pass
+    table = np.empty(len(deltas), dtype=object)
+    table[:] = deltas
+    return table
+
+
 @dataclass
 class SocnRGame:
     """Counter reachability game given by control states and integer rules.
 
-    ``rules`` is a list of (from_state, delta, to_state); a rule moves
-    the counter by delta and is enabled only when the result stays
+    ``rules`` is given as a list of (from_state, delta, to_state); a rule
+    moves the counter by delta and is enabled only when the result stays
     nonnegative.  Eve owns the states in ``eve``; the objective is the
-    single configuration target(0).
+    single configuration target(0).  Once validated, ``rules`` is a
+    :class:`RuleView` over the game's index tables.
     """
 
     states: list[str]
     eve: set
-    rules: list[tuple[str, int, str]]
+    rules: Sequence[tuple[str, int, str]]
     target: str
 
     def __post_init__(self):
         """Validate the game in one pass over the rules, which also
         resolves each rule's states to indices for :meth:`_index_rules`."""
-        index = {s: i for i, s in enumerate(self.states)}
-        if len(index) != len(self.states):
-            raise GameError("duplicate states")
-        extra = set(self.eve) - index.keys()
-        if extra:
-            raise GameError(f"eve set references unknown states: {sorted(extra)}")
+        index = self._index_states()
         src, deltas, tgt = [], [], []
+        plain = True
         get = index.get
         for frm, z, to in self.rules:
             a = get(frm)
             b = None if a is None else get(to)
             if b is None:
                 raise GameError(f"rule ({frm!r},{z},{to!r}) references unknown state")
-            if not isinstance(z, int):
-                raise GameError(f"rule delta {z!r} is not an integer")
+            if type(z) is not int:
+                if not isinstance(z, int):
+                    raise GameError(f"rule delta {z!r} is not an integer")
+                plain = False
             src.append(a)
             deltas.append(z)
             tgt.append(b)
-        if self.target not in index:
-            raise GameError(f"target {self.target!r} is not a state")
+        self._set_rules(np.array(src, dtype=np.int32), _delta_table(deltas, plain),
+                        np.array(tgt, dtype=np.int32))
+
+    @classmethod
+    def from_tables(cls, states: list, eve: set, src: np.ndarray, deltas: np.ndarray,
+                    tgt: np.ndarray, target: str):
+        """The game whose rules, in rule order, are given as index tables
+        (see :class:`RuleView`) that are valid by construction: only the
+        states, the Eve set and the target are checked."""
+        game = cls.__new__(cls)
+        game.states, game.eve, game.target = states, eve, target
+        game._index_states()
+        game._set_rules(src, deltas, tgt)
+        return game
+
+    def _index_states(self) -> dict:
+        index = dict(zip(self.states, range(len(self.states))))
+        if len(index) != len(self.states):
+            raise GameError("duplicate states")
+        extra = set(self.eve) - index.keys()
+        if extra:
+            raise GameError(f"eve set references unknown states: {sorted(extra)}")
         self._index = index
+        return index
+
+    def _set_rules(self, src: np.ndarray, deltas: np.ndarray, tgt: np.ndarray) -> None:
+        if self.target not in self._index:
+            raise GameError(f"target {self.target!r} is not a state")
+        self.rules = RuleView(self.states, src, deltas, tgt)
         self._rules_from = None
         self._index_rules(src, deltas, tgt)
 
-    def _index_rules(self, src: list, deltas: list, tgt: list) -> None:
-        """Checks and tables of a subclass, from the rules' state indices
-        and deltas in rule order; runs after every check above."""
+    def _index_rules(self, src: np.ndarray, deltas: np.ndarray, tgt: np.ndarray) -> None:
+        """Checks and tables of a subclass, from the rule tables of
+        :class:`RuleView`; runs after every check above."""
 
     def owner(self, state: str) -> str:
         return EVE if state in self.eve else ADAM

@@ -8,6 +8,7 @@ shares logic with the implementation under test.
 
 import contextlib
 import itertools
+import json
 import signal
 
 import numpy as np
@@ -302,6 +303,51 @@ def reference_game_error(states, eve, rules, target, countdown: bool):
             if z >= 0:
                 return f"countdown rule ({frm!r},{z},{to!r}) must have negative delta"
     return None
+
+
+# ---------------------------------------------------------------------------
+# Word game and counter-game document oracles
+
+
+def reference_seqdesc_to_countdown(d: SeqDescription) -> tuple:
+    """The word game built rule tuple by rule tuple, as the reduction
+    did before it built index tables: the game and the symbol map."""
+    m = d.m
+    sym_state = {b: f"s[{b}]" for b in d.alphabet}
+    triples = list(itertools.product(d.alphabet, repeat=3))
+    names = [f"t[{x}|{y}|{z}]" for x, y, z in triples]
+    states = (["p_win", "p_bad", "p1", "p2"]
+              + [sym_state[b] for b in d.alphabet]
+              + names)
+    eve = {"p_win", "p_bad", "p1"} | {sym_state[b] for b in d.alphabet}
+    rules = [
+        ("p1", -1, "p1"),
+        ("p1", -1, "p_win"),
+        ("p2", -1, "p1"),
+        ("p2", -(m + 2), "p_bad"),
+        (sym_state[d.blank], -1, "p2"),
+        (sym_state[d.hash_symbol], -2, "p_win"),
+    ]
+    out = [sym_state[d.rules.get(t, d.default)] for t in triples]
+    rules += [(s, -(m - 2), name) for s, name in zip(out, names)]
+    rules += [rule for (x, y, z), name in zip(triples, names)
+              for rule in ((name, -3, sym_state[x]), (name, -2, sym_state[y]),
+                           (name, -1, sym_state[z]))]
+    game = CountdownGame(states=states, eve=eve, rules=rules, target="p_win")
+    return game, sym_state
+
+
+def reference_counter_game_bytes(game: SocnRGame, kind: str) -> bytes:
+    """A countdown or socn-rgame document as a sorted-key dict payload
+    through ``json.dumps``, the canonical form the writer must match."""
+    payload = {"kind": kind,
+               "states": [{"name": s, "owner": EVE if s in game.eve else ADAM}
+                          for s in game.states],
+               "rules": [{"from": frm, "delta": z, "to": to}
+                         for frm, z, to in game.rules],
+               "target": game.target}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return (text + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,20 @@ def test_render_plane_golden(capsys, tmp_path):
     assert out_path.read_bytes() == b"P2\n2 2\n1\n0 0\n0 0\n"
 
 
+def test_render_refuses_an_oversized_pgm(capsys, tmp_path):
+    net = Socn(states=("p", "q"), actions=("a",),
+               rules=(Rule("p", "a", -1, "p"), Rule("q", "a", 0, "q")))
+    net_path = write_doc(tmp_path / "tiny.json", "socn", net)
+    out_path = tmp_path / "plane.pgm"
+    with time_limit(1.0):
+        code, out, err = run(capsys, "render", "plane", "--net", net_path,
+                             "--left", "p", "--right", "q", "--view", "2",
+                             "--cell-size", "100000", "--out", str(out_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: PGM image needs 200000x200000 pixels")
+    assert err.count("\n") == 1 and not out_path.exists()
+
+
 def test_render_all_manifest(capsys, drain_net_doc, tmp_path):
     out_dir = tmp_path / "imgs"
     code, out, _ = run(capsys, "render", "all", "--net", drain_net_doc,

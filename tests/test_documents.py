@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from ocn_gamelab import (ADAM, EVE, BeltCertificate, CertificateDoc,
                          PlaneBelt, RGame, Rule, SeqDescription, Socn,
                          SocnRGame, TuringMachine, net_sha256, parse_document,
                          serialize_document)
+
+from oracles import reference_counter_game_bytes
 
 
 def roundtrip(doc):
@@ -232,3 +235,60 @@ def test_fault_deep_in_a_large_rule_list_keeps_its_path():
     with pytest.raises(DocumentError) as err:
         parse_document(json.dumps(bad).encode())
     assert str(err.value) == f'$.states[{k + 2}].owner: owner must be "{EVE}" or "{ADAM}"'
+
+
+# Names a counter-game writer must escape exactly as json.dumps does.
+AWKWARD_NAMES = ["q", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+                 "\u00e9t\u00e9", "\u2603", "\U0001d11e", "</script>", "a|b]", "", " "]
+
+
+def random_counter_game(rng, countdown: bool):
+    states = rng.sample(AWKWARD_NAMES, rng.randint(1, 6))
+    eve = {s for s in states if rng.random() < 0.5}
+    rules = []
+    for _ in range(rng.choice([0, 1, 3, 12])):
+        delta = rng.choice([-1, -2, -7] if countdown else [-3, 0, 2, 5])
+        rules.append((rng.choice(states), delta, rng.choice(states)))
+    if rules and rng.random() < 0.3:
+        rules += rng.sample(rules, 1) + rules[:2]
+    if rng.random() < 0.2:
+        rules.insert(rng.randrange(len(rules) + 1),
+                     (states[0], -2 ** 40 if countdown else rng.choice([2 ** 70, -2 ** 70]),
+                      states[-1]))
+    cls = CountdownGame if countdown else SocnRGame
+    return cls(states=states, eve=eve, rules=rules, target=rng.choice(states))
+
+
+def test_counter_game_writer_matches_json_dumps():
+    rng = random.Random(7)
+    kinds = {"countdown": 0, "socn-rgame": 0}
+    huge = empty = 0
+    for i in range(400):
+        kind = "countdown" if i % 2 else "socn-rgame"
+        game = random_counter_game(rng, kind == "countdown")
+        data = serialize_document(InputDocument(kind, game))
+        assert data == reference_counter_game_bytes(game, kind)
+        back = parse_document(data)
+        assert (back.kind, type(back.value)) == (kind, type(game))
+        assert back.value.states == game.states and back.value.eve == game.eve
+        assert back.value.rules == game.rules and back.value.target == game.target
+        assert serialize_document(back) == data
+        kinds[kind] += 1
+        huge += any(abs(z) >= 2 ** 40 for _, z, _ in game.rules)
+        empty += not game.rules
+    assert min(kinds.values()) == 200 and huge > 20 and empty > 20
+
+
+def test_counter_game_writer_keeps_exact_deltas():
+    cg = CountdownGame(states=["a", "b"], eve=set(),
+                       rules=[("a", -2 ** 40, "b"), ("b", -1, "a")], target="b")
+    data = serialize_document(InputDocument("countdown", cg))
+    assert b'{"delta":-1099511627776,"from":"a","to":"b"}' in data
+    assert cg.max_decrement == 2 ** 40 and cg._dec.max() == 2 ** 31 - 1
+    # Deltas that are ints but not plain ones are written as json.dumps
+    # writes them, even where no document could carry them back.
+    srg = SocnRGame(states=["a"], eve={"a"}, rules=[("a", True, "a"), ("a", 2 ** 70, "a")],
+                    target="a")
+    data = serialize_document(InputDocument("socn-rgame", srg))
+    assert data == reference_counter_game_bytes(srg, "socn-rgame")
+    assert b'"delta":true' in data and srg.rules[0][1] is True

@@ -3,16 +3,20 @@ import random
 
 import pytest
 
+import numpy as np
+
 from ocn_gamelab import (ADAM, EVE, Config, CountdownGame, GameError, RGame,
                          Rule, SeqDescription, SocnRGame,
                          bounded_attacker_search, config_oracle, dedup_rules,
-                         ecg_to_socnrg, edge_action, expand_region,
-                         max_bisimulation, max_simulation,
+                         doubleexp_period_instance, ecg_to_socnrg, edge_action,
+                         expand_region, max_bisimulation, max_simulation,
                          rgame_to_mimicking_lts, seqdesc_to_countdown,
-                         sim_rank, socnrgame_to_socn, solve_cg, winning_area)
+                         sim_rank, socnrgame_to_socn, solve_cg, solve_ecg,
+                         winning_area)
 
 from oracles import (expected_net_successors, is_one_step_closed,
-                     mimicking_bisim_witness, random_socnrgame)
+                     mimicking_bisim_witness, random_socnrgame,
+                     reference_seqdesc_to_countdown)
 
 BLANK = " "
 
@@ -63,6 +67,141 @@ def test_triple_states_descend_by_offset():
     assert (name, -3, sym["#"]) in game.rules
     assert (name, -2, sym[BLANK]) in game.rules
     assert (name, -1, sym[BLANK]) in game.rules
+
+
+# Symbols that a name or a JSON string must carry through unchanged.
+# With a, a|b and b|a drawn together the triple names collide:
+# t[a|b|a|z] is both (a|b, a, z) and (a, b|a, z).
+AWKWARD_SYMBOLS = ["a", "a|b", "b|a", '"', "\\", "|", "]", "[q]", "\u00e9",
+                   "\u2603", "\n"]
+
+
+def random_word_description(rng) -> SeqDescription:
+    alphabet = rng.sample(AWKWARD_SYMBOLS, rng.randint(2, 6))
+    hash_symbol, blank = alphabet[:2]
+    rules = {}
+    for _ in range(rng.randint(0, 12)):
+        rules[tuple(rng.choice(alphabet) for _ in range(3))] = rng.choice(alphabet)
+    return SeqDescription(alphabet=alphabet, hash_symbol=hash_symbol, blank=blank,
+                          rules=rules, default=rng.choice(alphabet), m=rng.randint(3, 7))
+
+
+def assert_same_word_game(d: SeqDescription):
+    """The index-built game equals the tuple-built reference in every
+    part a caller or the solvers read."""
+    game, sym = seqdesc_to_countdown(d)
+    ref, ref_sym = reference_seqdesc_to_countdown(d)
+    assert isinstance(game, CountdownGame)
+    assert sym == ref_sym
+    assert game.states == ref.states
+    assert game.eve == ref.eve
+    assert game.target == ref.target
+    assert len(game.rules) == len(ref.rules)
+    assert game.rules == ref.rules
+    assert list(game.rules) == list(ref.rules)
+    assert game.max_decrement == ref.max_decrement
+    for table in ("_src", "_dec", "_tgt", "_eve"):
+        a, b = getattr(game, table), getattr(ref, table)
+        assert a.dtype == b.dtype and np.array_equal(a, b), table
+    return game, ref, sym
+
+
+def test_index_built_word_game_equals_reference():
+    rng = random.Random(17)
+    collisions = 0
+    for _ in range(300):
+        d = random_word_description(rng)
+        try:
+            reference_seqdesc_to_countdown(d)
+        except GameError as exc:
+            collisions += 1
+            with pytest.raises(GameError) as caught:
+                seqdesc_to_countdown(d)
+            assert str(caught.value) == str(exc) == "duplicate states"
+            continue
+        assert_same_word_game(d)
+    assert 0 < collisions <= 50
+
+
+def test_index_built_word_game_solves_like_reference():
+    rng = random.Random(18)
+    checked = 0
+    while checked < 80:
+        d = random_word_description(rng)
+        try:
+            game, ref, sym = assert_same_word_game(d)
+        except GameError:
+            continue
+        checked += 1
+        for state in sym.values():
+            for n0 in (0, 2, 5, 9, 14, 10 ** 6):
+                assert solve_cg(game, state, n0) == solve_cg(ref, state, n0)
+            for low_memory in (False, True):
+                assert (solve_ecg(game, state, cap=300, low_memory=low_memory)
+                        == solve_ecg(ref, state, cap=300, low_memory=low_memory))
+
+
+def test_index_built_doubleexp_game_equals_reference():
+    game, ref, _ = assert_same_word_game(doubleexp_period_instance(1))
+    assert len(game.rules) == 1_314_042
+    assert solve_cg(game, "s[#]", 2) and solve_cg(ref, "s[#]", 2)
+
+
+def test_colliding_triple_names_are_refused_as_before():
+    # t[a|b|c|d] is both (a|b, c, d) and (a, b|c, d).
+    d = SeqDescription(alphabet=["a|b", "c", "a", "b|c", "d"], hash_symbol="a",
+                       blank="c", rules={}, default="d", m=3)
+    for build in (reference_seqdesc_to_countdown, seqdesc_to_countdown):
+        with pytest.raises(GameError, match="^duplicate states$"):
+            build(d)
+
+
+def test_word_game_keeps_an_exact_row_length():
+    d = SeqDescription(alphabet=["#", BLANK, "A"], hash_symbol="#", blank=BLANK,
+                       rules={("#", BLANK, BLANK): "A"}, default=BLANK, m=2 ** 70)
+    game, ref, _ = assert_same_word_game(d)
+    assert game.max_decrement == 2 ** 70 + 2
+    assert ("p2", -(2 ** 70 + 2), "p_bad") in game.rules
+    d.m = 3.5
+    for build in (reference_seqdesc_to_countdown, seqdesc_to_countdown):
+        with pytest.raises(GameError, match=r"^rule delta -5\.5 is not an integer$"):
+            build(d)
+
+
+# ---------------------------------------------------------------------------
+# The rule view
+
+
+def test_rule_view_agrees_with_the_list_built_game():
+    d = SeqDescription(alphabet=["#", BLANK, "A"], hash_symbol="#", blank=BLANK,
+                       rules={("#", BLANK, BLANK): "A", ("A", "A", BLANK): "#"},
+                       default=BLANK, m=3)
+    game, _ = seqdesc_to_countdown(d)
+    rules = list(game.rules)
+    listed = CountdownGame(states=list(game.states), eve=set(game.eve),
+                           rules=rules, target=game.target)
+    n = len(rules)
+    assert len(game.rules) == len(listed.rules) == n == 6 + 27 + 81
+    assert list(game.rules) == list(listed.rules) == rules
+    for i in (0, 1, 5, 6, 40, n - 1, -1, -2, -n):
+        assert game.rules[i] == listed.rules[i] == rules[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            game.rules[i]
+    assert game.rules == listed.rules and game.rules == rules and rules == game.rules
+    assert game.rules != rules[:-1] and game.rules != rules[::-1]
+    assert game.rules != tuple(rules)
+    assert game.rules + [("p1", -1, "p1")] == rules + [("p1", -1, "p1")]
+    assert [("p1", -1, "p1")] + game.rules == [("p1", -1, "p1")] + rules
+    assert rules[7] in game.rules and game.rules.index(rules[7]) == 7
+    with pytest.raises(TypeError):
+        hash(game.rules)
+    for q in game.states:
+        assert game.rules_from(q) == listed.rules_from(q)
+    assert expand_region(game, 7) == expand_region(listed, 7)
+    for p0 in ("s[#]", "s[A]"):
+        assert ecg_to_socnrg(game, p0) == ecg_to_socnrg(listed, p0)
+    assert socnrgame_to_socn(game) == socnrgame_to_socn(listed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@ import os
 
 import pytest
 
-from ocn_gamelab import (RenderError, RenderSpec, Rule, Socn,
+from ocn_gamelab import (RenderError, RenderSpec, ResourceGuardError, Rule, Socn,
                          classify_and_fit, color_planes, fit_summary,
                          frontier, rank_matrix, render_all, render_plane)
+from ocn_gamelab.ocnsim import DEFAULT_CELL_BUDGET
 
-from oracles import parse_pgm
+from oracles import parse_pgm, time_limit
 
 
 def tiny_net():
@@ -44,6 +45,21 @@ def test_pgm_cell_size_scales_pixels():
     w, h, maxval, values = parse_pgm(data)
     assert (w, h) == (6, 6)
     assert values == [0] * 36
+
+
+def test_oversized_pgm_is_refused_before_it_is_built(tmp_path):
+    col = tiny_coloring()[("p", "q")]  # 2 x 2 cells
+    side = 4000  # the largest square within the pixel budget
+    assert side * side <= DEFAULT_CELL_BUDGET < (side + 2) ** 2
+    for cs in (side // 2 + 1, 10 ** 5, 10 ** 30):
+        with time_limit(1.0), pytest.raises(ResourceGuardError, match="PGM image needs"):
+            render_plane(col, RenderSpec(format="pgm", cell_size=cs))
+    with time_limit(1.0), pytest.raises(ResourceGuardError):
+        render_all({("p", "q"): col}, None, str(tmp_path / "imgs"),
+                   RenderSpec(cell_size=10 ** 5))
+    assert os.listdir(tmp_path / "imgs") == []
+    # The cell count, not the pixel count, sizes an SVG.
+    assert render_plane(col, RenderSpec(format="svg", cell_size=10 ** 5)).startswith(b"<svg")
 
 
 def test_svg_structure_and_overlays():
