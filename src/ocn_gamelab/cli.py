@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     ecg_solve.add_argument("--state", required=True)
     ecg_solve.add_argument("--cap", type=int, default=None)
     ecg_solve.add_argument("--low-memory", action="store_true",
-                           help="Brent cycle search instead of a segment table")
+                           help="start the segment-repeat search at level M, not M - 1")
     ecg_solve.set_defaults(func=cmd_ecg_solve)
 
     seq = sub.add_parser("seq", help="sequence descriptions")

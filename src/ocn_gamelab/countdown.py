@@ -14,10 +14,11 @@ source gives every state's enabled and good counts.  Membership of p0
 in W(n0) answers the countdown game.  The level stream is eventually
 periodic: once all rules are enabled (j >= M - 1) the segment alone
 determines the future, so a segment repeat at j1 < j2 gives
-W(n) = W(j1 + (n - j1) mod (j2 - j1)) for every n >= j1.  ``solve_cg``
-uses it to jump over the cycle, and a repeat without p0 ever appearing
-answers the existential variant negatively.  The theoretical repeat
-bound M + 2^(|Q|*M) is astronomically larger than desk instances need.
+W(n) = W(j1 + (n - j1) mod (j2 - j1)) for every n >= j1.  Repeats are
+found by the cycle finder (:mod:`~ocn_gamelab.cycle`): ``solve_cg``
+jumps over the cycle, and a repeat without p0 ever appearing answers
+the existential variant negatively.  The theoretical repeat bound
+M + 2^(|Q|*M) is astronomically larger than desk instances need.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import count
 
 import numpy as np
 
+from .cycle import least_repeat, orbit
 from .rgame import GameError, SocnRGame
 
 # Largest segment, in cells (levels x states), a solver allocates.
@@ -90,6 +92,10 @@ class _Kernel:
         self.eve = game._eve
         self.target = game._index[game.target]
 
+    def step(self, segment: np.ndarray) -> np.ndarray:
+        """The segment one level on, from level M - 1 or later."""
+        return _next_segment(self, segment, self.m)
+
 
 def _next_segment(kernel: _Kernel, segment: np.ndarray, j: int) -> np.ndarray:
     """Advance the level segment by one level: the single recurrence.
@@ -119,20 +125,6 @@ def _next_segment(kernel: _Kernel, segment: np.ndarray, j: int) -> np.ndarray:
     return nxt
 
 
-def _segments(kernel: _Kernel):
-    """Yield (j, segment ending in W(j)) for j = 0, 1, 2, ...; each
-    segment is a fresh array."""
-    segment = np.zeros((kernel.w, kernel.q), dtype=bool)
-    segment[-1, kernel.target] = True
-    for j in count():
-        yield j, segment
-        segment = _next_segment(kernel, segment, j + 1)
-
-
-def _key(segment: np.ndarray) -> bytes:
-    return np.packbits(segment).tobytes()
-
-
 def _state(game: CountdownGame, p0: str) -> int:
     index = game._index.get(p0)
     if index is None:
@@ -148,32 +140,44 @@ def win_levels_stream(game: CountdownGame):
     from the recurrence in :func:`_next_segment`.
     """
     states = game.states
-    for j, segment in _segments(_Kernel(game)):
+    for j, segment, _ in _levels(_Kernel(game)):
         yield j, frozenset(states[i] for i in np.flatnonzero(segment[-1]).tolist())
+
+
+def _levels(kernel: _Kernel, start: int | None = None, limit: int | None = None):
+    """Yield (j, segment ending in W(j), lam) for j = 0, 1, 2, ..., each
+    segment a fresh array; from ``start`` >= M - 1 on, where the step no
+    longer depends on j, through :func:`~ocn_gamelab.cycle.orbit`."""
+    segment = np.zeros((kernel.w, kernel.q), dtype=bool)
+    segment[-1, kernel.target] = True
+    for j in count():
+        if j == start:
+            yield from orbit(segment, j, kernel.step, np.array_equal, limit)
+            return
+        yield j, segment, 0
+        if limit is not None and j >= limit:
+            return
+        segment = _next_segment(kernel, segment, j + 1)
 
 
 def solve_cg(game: CountdownGame, p0: str, n0: int) -> bool:
     """True iff Eve wins the countdown game from p0 with initial counter n0.
 
-    Streams the levels up to n0, or up to the first segment repeat
-    (j1, j2) once every rule is enabled, and then reads W(n0) as
-    W(j1 + (n0 - j1) mod (j2 - j1)); so a counter written in binary
-    costs no more levels than the stream's cycle.
+    Streams the levels up to n0, or up to a segment repeat at j with
+    period lam and then (n0 - j) mod lam levels on, so a counter written
+    in binary costs no more levels than the stream's cycle.
     """
     p = _state(game, p0)
     if n0 < 0:
         raise GameError("initial counter must be nonnegative")
-    record_from = max(game.max_decrement - 1, 1)
-    seen: dict[bytes, int] = {}
-    wins = []
-    for j, segment in _segments(_Kernel(game)):
-        wins.append(bool(segment[-1, p]))
+    kernel = _Kernel(game)
+    for j, segment, lam in _levels(kernel, max(game.max_decrement - 1, 1)):
         if j == n0:
-            return wins[j]
-        if j >= record_from:
-            first = seen.setdefault(_key(segment), j)
-            if first != j:
-                return wins[first + (n0 - first) % (j - first)]
+            return bool(segment[-1, p])
+        if lam:
+            for _ in range((n0 - j) % lam):
+                segment = kernel.step(segment)
+            return bool(segment[-1, p])
     raise AssertionError("unreachable: level stream is infinite")
 
 
@@ -182,9 +186,9 @@ class EcgAnswer:
     """Outcome of the existential countdown game.
 
     kind is "yes" (with n the least winning counter value), "no" (with
-    ``repeat`` the witness pair j1 < j2 of indices whose M-segments are
-    identical while p0 never appeared in W(0..j2)), or "inconclusive"
-    (the user-supplied cap was reached first).
+    ``repeat`` the least pair j1 < j2 of identical M-segments from the
+    search start on, p0 in none of W(0..j2)), or "inconclusive" (the
+    user-supplied cap comes first).
     """
 
     kind: str
@@ -197,83 +201,23 @@ def solve_ecg(game: CountdownGame, p0: str, cap: int | None = None,
               low_memory: bool = False) -> EcgAnswer:
     """Is there any n with p0 in W(n)?
 
-    Streams the level sets, answering Yes at the first hit.  A repeat of
-    the M-level segment proves the stream periodic from the first of the
-    two indices on, so if p0 has not appeared by then it never will: No.
-    Repeats are found in a table of the segments seen, keyed by their
-    packed bits; with ``low_memory`` by Brent's cycle finding over the
-    segment orbit instead, trading a second streaming pass for O(M)
-    memory.
+    Yes at the first hit n <= cap.  The least segment repeat (j1, j2)
+    with j1 at or after max(M - 1, 1), max(M, 1) with ``low_memory``,
+    proves the stream periodic from j1, so if p0 has not appeared by j2
+    it never will: No if j2 < cap, else Inconclusive.
     """
     p = _state(game, p0)
-    if low_memory:
-        return _solve_ecg_brent(game, p, cap)
-    # For j < record_from the segment is not yet j-independent
-    # (enabledness thresholds still bite), so recording starts after it.
-    record_from = max(game.max_decrement - 1, 1)
-    seen: dict[bytes, int] = {}
-    for j, segment in _segments(_Kernel(game)):
-        if segment[-1, p]:
-            return EcgAnswer("yes", n=j)
-        if cap is not None and j >= cap:
-            return EcgAnswer("inconclusive", cap=cap)
-        if j >= record_from:
-            first = seen.setdefault(_key(segment), j)
-            if first != j:
-                return EcgAnswer("no", repeat=(first, j))
-    raise AssertionError("unreachable")
-
-
-def _solve_ecg_brent(game: CountdownGame, p: int, cap: int | None) -> EcgAnswer:
-    # Prefix pass up to level s0; x0 is the segment ending there.
-    s0 = max(game.max_decrement, 1)
     kernel = _Kernel(game)
-    for j, x0 in _segments(kernel):
-        if x0[-1, p]:
-            return EcgAnswer("yes", n=j)
-        if cap is not None and j >= cap:
+    start = max(game.max_decrement if low_memory else game.max_decrement - 1, 1)
+    for j, segment, lam in _levels(kernel, start, cap):
+        if segment[-1, p]:
+            if cap is None or j <= cap:
+                return EcgAnswer("yes", n=j)
             return EcgAnswer("inconclusive", cap=cap)
-        if j == s0:
-            break
-
-    def advance(seg: np.ndarray, j: int) -> tuple[np.ndarray, int] | EcgAnswer:
-        nxt = _next_segment(kernel, seg, j + 1)
-        if nxt[-1, p]:
-            return EcgAnswer("yes", n=j + 1)
-        if cap is not None and j + 1 >= cap:
-            return EcgAnswer("inconclusive", cap=cap)
-        return nxt, j + 1
-
-    # Brent: the hare streams forward; the tortoise only teleports.
-    power = lam = 1
-    tortoise, hare, hare_j = x0, None, s0
-    step = advance(x0, hare_j)
-    if isinstance(step, EcgAnswer):
-        return step
-    hare, hare_j = step
-    while not np.array_equal(hare, tortoise):
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        step = advance(hare, hare_j)
-        if isinstance(step, EcgAnswer):
-            return step
-        hare, hare_j = step
-        lam += 1
-    # Find the first repeat start mu by advancing two segments lam apart.
-    # Every level here is past s0 >= M, so the level index no longer
-    # changes the recurrence.
-    ahead = x0
-    ahead_j = s0
-    for _ in range(lam):
-        ahead_j += 1
-        ahead = _next_segment(kernel, ahead, ahead_j)
-    back = x0
-    back_j = s0
-    while not np.array_equal(back, ahead):
-        back_j += 1
-        back = _next_segment(kernel, back, back_j)
-        ahead_j += 1
-        ahead = _next_segment(kernel, ahead, ahead_j)
-    return EcgAnswer("no", repeat=(back_j, ahead_j))
+        if j == start:
+            first = segment
+    if lam:
+        mu = least_repeat(first, start, lam, kernel.step, np.array_equal)
+        if cap is None or mu + lam < cap:
+            return EcgAnswer("no", repeat=(mu, mu + lam))
+    return EcgAnswer("inconclusive", cap=cap)

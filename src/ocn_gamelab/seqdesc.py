@@ -13,6 +13,11 @@ built from a machine spells out the machine's run row by row, which
 turns symbol queries into run queries.  The binary-counter machines
 at the end generate words whose period is double exponential in the
 machine size.
+
+Period detection, the existential query and evaluation at a position
+walk the (m+1)-symbol windows, which determine the rest of the word,
+through the package's cycle finder (:mod:`~ocn_gamelab.cycle`): a
+position written in binary is read off the word's cycle.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import eq
+
+from .cycle import least_repeat, orbit
 
 
 class SeqError(ValueError):
@@ -63,25 +71,42 @@ class SeqDescription:
         return self.rules.get((x, y, z), self.default)
 
 
+def _windows(d: SeqDescription) -> tuple:
+    """The window of positions 0..m, hash then m blanks, and the step
+    that shifts a window on by one position, in place."""
+    rules, default = d.rules, d.default
+
+    def step(window: deque) -> deque:
+        window.append(rules.get((window[0], window[1], window[2]), default))
+        return window
+    return deque([d.hash_symbol] + [d.blank] * d.m, maxlen=d.m + 1), step
+
+
 def symbol_stream(d: SeqDescription):
     """Yield the word's symbols in order, in O(m) space."""
-    window = deque(maxlen=d.m + 1)
-    window.append(d.hash_symbol)
-    yield d.hash_symbol
-    for _ in range(d.m):
-        window.append(d.blank)
-        yield d.blank
+    window, step = _windows(d)
+    yield from window
     while True:
-        nxt = d.rules.get((window[0], window[1], window[2]), d.default)
-        window.append(nxt)
-        yield nxt
+        yield step(window)[-1]
 
 
 def eval_at(d: SeqDescription, i: int) -> str:
-    """The word's symbol at position i."""
+    """The word's symbol at position i: the windows are walked up to i,
+    or up to a repeat at window k with period lam and then
+    (i - m - k) mod lam windows on."""
     if i < 0:
         raise SeqError("position must be a natural number")
-    return next(islice(symbol_stream(d), i, None))
+    window, step = _windows(d)
+    if i <= d.m:
+        return window[i]
+    for k, window, lam in orbit(window, 0, step, eq):
+        if k + d.m == i:
+            return window[-1]
+        if lam:
+            for _ in range((i - d.m - k) % lam):
+                window = step(window)
+            return window[-1]
+    raise AssertionError("unreachable: the word is infinite")
 
 
 def eval_prefix(d: SeqDescription, count: int) -> list:
@@ -96,27 +121,22 @@ class PeriodAnswer:
     period: int | None = None
 
 
-def find_period(d: SeqDescription, cap: int) -> PeriodAnswer:
-    """Least (start, period) at which the (m+1)-symbol window repeats.
+def _least_repeat(d: SeqDescription, lam: int) -> int:
+    window, step = _windows(d)
+    return least_repeat(window, 0, lam, step, eq)
 
-    A repeated window pins the whole future, so the word satisfies
-    S(i+period) = S(i) for every i >= start.  The search keeps a map
-    from window content to first position and gives up after ``cap``
-    distinct windows.
-    """
-    seen = {}
-    window = deque(maxlen=d.m + 1)
-    for i, sym in enumerate(symbol_stream(d)):
-        window.append(sym)
-        if i < d.m:
-            continue
-        k = i - d.m
-        key = tuple(window)
-        if key in seen:
-            return PeriodAnswer("found", start=seen[key], period=k - seen[key])
-        if k >= cap:
-            return PeriodAnswer("inconclusive")
-        seen[key] = k
+
+def find_period(d: SeqDescription, cap: int) -> PeriodAnswer:
+    """Least (start, period) at which the (m+1)-symbol window repeats,
+    so S(i+period) = S(i) for every i >= start; found if
+    start + period <= ``cap``."""
+    window, step = _windows(d)
+    _, _, lam = deque(orbit(window, 0, step, eq, cap), maxlen=1).pop()
+    if lam:
+        mu = _least_repeat(d, lam)
+        if mu + lam <= cap:
+            return PeriodAnswer("found", start=mu, period=lam)
+    return PeriodAnswer("inconclusive")
 
 
 def decide_gsp(d: SeqDescription, n0: int, beta0: str) -> bool:
@@ -135,28 +155,21 @@ class EgspAnswer:
 def decide_egsp(d: SeqDescription, beta0: str, cap: int) -> EgspAnswer:
     """Does beta0 occur anywhere in the word?
 
-    Yes carries the least witness.  No is sound: once a window
-    repeats, the word replays symbols already checked, so an unseen
-    symbol never appears.  Past ``cap`` distinct windows the answer
-    is inconclusive.
+    Yes carries the least witness i, if i <= m + ``cap``.  No is sound:
+    once a window repeats, the word replays symbols already checked; it
+    needs the least repeat to end by ``cap``, as in :func:`find_period`.
     """
     if beta0 not in set(d.alphabet):
         raise SeqError(f"query symbol {beta0!r} not in alphabet")
-    seen = {}
-    window = deque(maxlen=d.m + 1)
-    for i, sym in enumerate(symbol_stream(d)):
-        if sym == beta0:
-            return EgspAnswer("yes", witness=i)
-        window.append(sym)
-        if i < d.m:
-            continue
-        k = i - d.m
-        key = tuple(window)
-        if key in seen:
-            return EgspAnswer("no")
-        if k >= cap:
-            return EgspAnswer("inconclusive")
-        seen[key] = k
+    window, step = _windows(d)
+    if beta0 in window:
+        return EgspAnswer("yes", witness=window.index(beta0))
+    for k, window, lam in orbit(window, 0, step, eq, cap):
+        if window[-1] == beta0:
+            return EgspAnswer("yes", witness=k + d.m) if k <= cap else EgspAnswer("inconclusive")
+    if lam and _least_repeat(d, lam) + lam <= cap:
+        return EgspAnswer("no")
+    return EgspAnswer("inconclusive")
 
 
 # ---------------------------------------------------------------------------

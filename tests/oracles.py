@@ -14,8 +14,9 @@ import signal
 import numpy as np
 
 from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, EcgAnswer,
-                         Lts, PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
-                         head_symbol, successors, winning_area)
+                         EgspAnswer, Lts, PeriodAnswer, PlaneBelt, RGame, Rule,
+                         SeqDescription, Socn, SocnRGame, head_symbol, successors,
+                         winning_area)
 
 # ---------------------------------------------------------------------------
 # Relation oracles
@@ -232,53 +233,20 @@ def reference_levels(game: CountdownGame, upto: int) -> list:
 def reference_solve_ecg(game: CountdownGame, p0: str, cap=None,
                         low_memory: bool = False) -> EcgAnswer:
     """The existential countdown game over the reference recurrence, with
-    the same answers as ``solve_ecg``: the hash table of segments, or
-    Brent's cycle finding."""
+    the same answers as ``solve_ecg``: a table of the segments seen from
+    level max(M - 1, 1) on, or from max(M, 1) with ``low_memory``."""
     m = max((-z for _, z, _ in game.rules), default=0)
-    if not low_memory:
-        seen = {}
-        for j, segment in _reference_segments(game):
-            if p0 in segment[-1]:
-                return EcgAnswer("yes", n=j)
-            if cap is not None and j >= cap:
-                return EcgAnswer("inconclusive", cap=cap)
-            if j >= max(m - 1, 1):
-                if segment in seen:
-                    return EcgAnswer("no", repeat=(seen[segment], j))
-                seen[segment] = j
-    s0 = max(m, 1)
-    for j, x0 in _reference_segments(game):
-        if p0 in x0[-1]:
+    record_from = max(m if low_memory else m - 1, 1)
+    seen = {}
+    for j, segment in _reference_segments(game):
+        if p0 in segment[-1]:
             return EcgAnswer("yes", n=j)
         if cap is not None and j >= cap:
             return EcgAnswer("inconclusive", cap=cap)
-        if j == s0:
-            break
-    rules_from = _reference_rules_from(game)
-
-    def step(seg):
-        return _reference_next_segment(game, rules_from, seg)
-
-    power = lam = 1
-    tortoise, hare, hare_j = x0, step(x0), s0 + 1
-    while True:
-        if p0 in hare[-1]:
-            return EcgAnswer("yes", n=hare_j)
-        if cap is not None and hare_j >= cap:
-            return EcgAnswer("inconclusive", cap=cap)
-        if hare == tortoise:
-            break
-        if power == lam:
-            tortoise, power, lam = hare, power * 2, 0
-        hare, hare_j, lam = step(hare), hare_j + 1, lam + 1
-    ahead, ahead_j = x0, s0
-    for _ in range(lam):
-        ahead, ahead_j = step(ahead), ahead_j + 1
-    back, back_j = x0, s0
-    while back != ahead:
-        back, back_j = step(back), back_j + 1
-        ahead, ahead_j = step(ahead), ahead_j + 1
-    return EcgAnswer("no", repeat=(back_j, ahead_j))
+        if j >= record_from:
+            if segment in seen:
+                return EcgAnswer("no", repeat=(seen[segment], j))
+            seen[segment] = j
 
 
 def reference_game_error(states, eve, rules, target, countdown: bool):
@@ -348,6 +316,46 @@ def reference_counter_game_bytes(game: SocnRGame, kind: str) -> bytes:
                "target": game.target}
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return (text + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Sequence description oracles: the window tables the cycle finder replaced
+
+
+def _reference_windows(d: SeqDescription):
+    """(k, window) for k = 0, 1, ...: the (m+1)-symbol window of positions
+    k..k+m as a tuple, cut from a literal list of the word."""
+    word = [d.hash_symbol] + [d.blank] * d.m
+    for k in itertools.count():
+        yield k, tuple(word[k:k + d.m + 1])
+        word.append(d.apply(*word[k:k + 3]))
+
+
+def reference_find_period(d: SeqDescription, cap: int) -> PeriodAnswer:
+    """``find_period`` by a table of the windows seen, giving up after
+    ``cap`` distinct windows."""
+    seen = {}
+    for k, window in _reference_windows(d):
+        if window in seen:
+            return PeriodAnswer("found", start=seen[window], period=k - seen[window])
+        if k >= cap:
+            return PeriodAnswer("inconclusive")
+        seen[window] = k
+
+
+def reference_decide_egsp(d: SeqDescription, beta0: str, cap: int) -> EgspAnswer:
+    """``decide_egsp`` by a table of the windows seen: the least witness,
+    No at the first repeated window, inconclusive after ``cap`` distinct
+    windows."""
+    seen = {}
+    for k, window in _reference_windows(d):
+        if beta0 in window:
+            return EgspAnswer("yes", witness=k + window.index(beta0))
+        if window in seen:
+            return EgspAnswer("no")
+        if k >= cap:
+            return EgspAnswer("inconclusive")
+        seen[window] = k
 
 
 # ---------------------------------------------------------------------------

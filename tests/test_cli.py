@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, InvariantError,
-                         Rule, SeqDescription, Socn, TuringMachine, net_sha256,
+                         Rule, SeqDescription, Socn, TuringMachine,
+                         doubleexp_period_instance, eval_prefix, net_sha256,
                          parse_document, serialize_document)
 from ocn_gamelab.cli import main
 
-from oracles import big_delta_certificate, prime_period_certificate, time_limit
+from oracles import (big_delta_certificate, prime_period_certificate, reference_find_period,
+                     time_limit)
 
 BLANK = " "
 
@@ -122,6 +124,52 @@ def test_seq_commands(capsys, seq_doc):
     code, out, _ = run(capsys, "seq", "egsp", "--desc", seq_doc,
                        "--symbol", "A")
     assert (code, out) == (0, "YES (i=4)\n")
+
+
+def test_ecg_solve_cap_boundary(capsys, tmp_path):
+    # q1 is winning exactly at the multiples of 3 and q0 nowhere.  The
+    # least segment repeat is (2, 5) from level M - 1 = 2 and (3, 6) from
+    # level M = 3 with --low-memory; No needs j2 < cap.
+    game = CountdownGame(states=["q0", "q1"], eve={"q0"}, rules=[("q1", -3, "q1")],
+                         target="q1")
+    doc = write_doc(tmp_path / "three.json", "countdown", game)
+    for flags, (j1, j2) in (([], (2, 5)), (["--low-memory"], (3, 6))):
+        base = ["ecg", "solve", "--game", doc, "--state", "q0", *flags]
+        assert run(capsys, *base, "--cap", str(j2)) == (2, f"INCONCLUSIVE (cap={j2})\n", "")
+        assert run(capsys, *base, "--cap", str(j2 + 1)) == \
+            (1, f"NO (segment repeat at j={j1} and j={j2})\n", "")
+
+
+def test_seq_period_and_egsp_cap_boundary(capsys, seq_doc):
+    # The word is # then blanks to position 3 and A from 4 on: the window
+    # at 4 repeats at 5, and no rule writes #.
+    period = ["seq", "period", "--desc", seq_doc, "--cap"]
+    assert run(capsys, *period, "4") == (2, "INCONCLUSIVE (cap=4)\n", "")
+    assert run(capsys, *period, "5") == (0, "PERIOD start=4 period=1\n", "")
+    egsp = ["seq", "egsp", "--desc", seq_doc, "--symbol"]
+    assert run(capsys, *egsp, "A", "--cap", "0") == (2, "INCONCLUSIVE (cap=0)\n", "")
+    assert run(capsys, *egsp, "A", "--cap", "1") == (0, "YES (i=4)\n", "")
+
+
+def test_seq_queries_at_binary_positions(capsys, tmp_path):
+    # Positions far past the word's cycle are read off it: the symbol at i
+    # is the one at start + (i - start) mod period.
+    d = doubleexp_period_instance(1)
+    doc = write_doc(tmp_path / "dexp1.json", "seqdesc", d)
+    least = reference_find_period(d, 1000)
+    word = eval_prefix(d, least.start + least.period)
+
+    def streamed(i):
+        return word[least.start + (i - least.start) % least.period]
+
+    for i in (10 ** 18, 10 ** 30):
+        with time_limit(1.0):
+            got = run(capsys, "seq", "eval", "--desc", doc, "--i", str(i))
+        assert got == (0, streamed(i) + "\n", "")
+    with time_limit(1.0):
+        got = run(capsys, "seq", "gsp", "--desc", doc, "--n0", str(10 ** 18),
+                  "--symbol", "#")
+    assert got == ((0, "YES\n", "") if streamed(10 ** 18) == "#" else (1, "NO\n", ""))
 
 
 def test_reduce_seq2cg(capsys, seq_doc, tmp_path):

@@ -158,7 +158,8 @@ def test_brent_mode_agrees_with_hash_mode():
         if fast.kind == "yes":
             assert fast.n == thrifty.n
         else:
-            # Both witnesses must be valid; Brent's need not be the same pair.
+            # Both witnesses must be valid; low memory's repeat search starts
+            # a level later, so its pair may be later.
             for j1, j2 in (fast.repeat, thrifty.repeat):
                 m = g.max_decrement
                 ws = levels(g, j2)
@@ -238,6 +239,25 @@ def test_ecg_answers_match_reference(cap):
             for low_memory in (False, True):
                 assert solve_ecg(g, p0, cap=cap, low_memory=low_memory) == \
                     reference_solve_ecg(g, p0, cap=cap, low_memory=low_memory), (g, p0)
+
+
+def test_ecg_answers_match_reference_at_the_repeat_caps():
+    # Each verdict is decided on the least repeat (j1, j2), not on the level
+    # at which the cycle finder saw a repeat: No needs j2 < cap.
+    checked = 0
+    for g in kernel_corpus()[:100]:
+        for p0 in g.states:
+            for low_memory in (False, True):
+                free = reference_solve_ecg(g, p0, low_memory=low_memory)
+                if free.kind != "no":
+                    continue
+                j2 = free.repeat[1]
+                for cap in (j2 - 1, j2, j2 + 1):
+                    assert solve_ecg(g, p0, cap=cap, low_memory=low_memory) == \
+                        reference_solve_ecg(g, p0, cap=cap, low_memory=low_memory), \
+                        (g, p0, cap)
+                checked += 1
+    assert checked > 50
 
 
 def test_solve_cg_jump_matches_streaming():

@@ -9,7 +9,8 @@ from ocn_gamelab import (SeqDescription, SeqError, TuringMachine, decide_egsp,
                          eval_prefix, find_period, head_symbol, tm_to_seqdesc)
 from ocn_gamelab.seqdesc import _counter_machine, _with_prologue
 
-from oracles import tm_rows
+from oracles import (random_seqdesc, reference_decide_egsp, reference_find_period,
+                     tm_rows)
 
 BLANK = " "
 
@@ -56,7 +57,6 @@ def test_validation_rejects_bad_descriptions():
 
 def test_streaming_matches_naive_recurrence():
     rng = random.Random(424242)
-    from oracles import random_seqdesc
     for _ in range(30):
         d = random_seqdesc(rng)
         n = rng.randrange(50, 2000)
@@ -76,6 +76,32 @@ def test_find_period_gives_up_at_cap():
     # The counter machine's word has a long preperiod; a tiny cap loses.
     d = doubleexp_period_instance(1)
     assert find_period(d, cap=10).kind == "inconclusive"
+
+
+def differential_words() -> list:
+    rng = random.Random(1919)
+    return ([random_seqdesc(rng) for _ in range(300)]
+            + [doubleexp_period_instance(1), doubleexp_period_instance(2)])
+
+
+def test_period_and_egsp_match_the_window_tables():
+    for d in differential_words():
+        least = reference_find_period(d, 10 ** 6)
+        end = least.start + least.period
+        for cap in sorted({-1, 0, 1, 2, 5, end - 1, end, end + 1}):
+            assert find_period(d, cap) == reference_find_period(d, cap), (d, cap)
+            for beta in d.alphabet:
+                assert decide_egsp(d, beta, cap) == reference_decide_egsp(d, beta, cap), \
+                    (d, beta, cap)
+
+
+def test_eval_at_matches_the_stream_across_the_jump():
+    # Up to 3 (start + period) + m covers the positions below, at and past
+    # the cycle finder's detection, where the jump is 0 steps or more.
+    for d in differential_words():
+        least = reference_find_period(d, 10 ** 6)
+        count = 3 * (least.start + least.period) + d.m
+        assert [eval_at(d, i) for i in range(count)] == eval_prefix(d, count), d
 
 
 def test_gsp_queries():
