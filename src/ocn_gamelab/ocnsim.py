@@ -24,7 +24,10 @@ All belt geometry uses exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,28 +69,49 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class PlaneColoring:
-    """White ranks for one plane (p,q) on [0, R + K*Dmax)^2.
+    """One plane (p,q) on rows [0, R + K*Dmax), kept as its thresholds.
 
-    ``white[m,n]`` is 0 for a black candidate and r >= 1 when the
-    attacker wins from (p(m), q(n)) in exactly r rounds.  Ranks up to K
-    are exact on the interior [0,R)^2; in a row n < R + j*Dmax they are
-    exact up to K - j, which covers every cell a vector travel reads.
-    Each row is a staircase step: black on a prefix of m, white from
-    the row's threshold on.
+    ``thresholds[n]`` is the least m white at rank <= K in row n, or
+    ``_BLACK`` when the row has none: each row is a staircase step,
+    black on m < thresholds[n] and white from there on, so the black
+    counts of the interior [0,R)^2 are min(thresholds[:R], R).
+
+    The white ranks are built on first use of ``white``, for every plane
+    of one :func:`color_planes` call at once.  ``white[m,n]`` is 0 for a
+    black candidate and r >= 1 when the attacker wins from (p(m), q(n))
+    in exactly r rounds.  Ranks up to K are exact on the interior; in a
+    row n < R + j*Dmax they are exact up to K - j, which covers every
+    cell a vector travel reads.  A coloring made without ``load_white``
+    has no white ranks.
     """
 
     p: str
     q: str
-    white: np.ndarray
+    thresholds: np.ndarray
     interior: int
     rank_bound: int
     max_delta: int
+    load_white: Callable[[], np.ndarray] | None = field(default=None, repr=False,
+                                                         compare=False)
+
+    @property
+    def white(self) -> np.ndarray:
+        if self.load_white is None:
+            raise NetError(f"plane ({self.p},{self.q}) has no white ranks")
+        return self.load_white()
+
+    def black_counts(self) -> np.ndarray:
+        r = self.interior
+        return np.minimum(self.thresholds[:r], r)
 
     def interior_view(self) -> np.ndarray:
         r = self.interior
         return self.white[:r, :r]
 
     def rank(self, m: int, n: int) -> int | None:
+        g = len(self.thresholds)
+        if not (0 <= m < g and 0 <= n < g):
+            raise NetError(f"cell ({m},{n}) outside the coloring [0,{g})^2")
         r = int(self.white[m, n])
         return r if r > 0 else None
 
@@ -95,11 +119,11 @@ class PlaneColoring:
 def _assert_interior_monotone(colorings: dict) -> None:
     # Black-cell monotonicity (smaller m, larger n stays black) must hold
     # cell-exactly on every exact interior; a violation is a solver bug.
+    # Rows are black prefixes of m by construction, so only the black
+    # counts along n are left to check.
     for (p, q), col in colorings.items():
-        black = col.interior_view() == 0
-        if black[1:, :].any() and not np.all(black[:-1, :] | ~black[1:, :]):
-            raise InvariantError(f"black not left-closed in plane ({p},{q})")
-        if black[:, :-1].any() and not np.all(black[:, 1:] | ~black[:, :-1]):
+        counts = col.black_counts()
+        if np.any(counts[1:] < counts[:-1]):
             raise InvariantError(f"black not up-closed in plane ({p},{q})")
 
 
@@ -175,8 +199,9 @@ def color_planes(net: Socn, rank_bound: int, view: int,
     Runs :func:`_threshold_rounds` on all state pairs over rows
     [0, view + K*Dmax): rows past the end count as black, which the extra
     K*Dmax rows absorb; m needs no padding.  Stops early once a round
-    changes nothing.  Ranks are read off the threshold history on the
-    square of those rows.
+    changes nothing.  Keeps only the last round's thresholds, pairs x g
+    of them; the budget still counts the g x g cells of every plane.
+    The rank matrices are built on first use of a coloring's ``white``.
     """
     if rank_bound < 1 or view < 1:
         raise NetError("rank_bound and view must be >= 1")
@@ -189,9 +214,25 @@ def color_planes(net: Socn, rank_bound: int, view: int,
             f"coloring needs {cells} cells (grid {g}, {len(net.states)} states), "
             f"budget is {budget}")
     pairs = [(p, q) for p in net.states for q in net.states]
-    # Finite thresholds stay below g (a round adds at most Dmax).  Row n
-    # turns white at rank r on [w_r(n), w_{r-1}(n)): kept on [0, g)^2 as
-    # +r/-r at the interval ends, summed along m at the end.
+    w = np.full((len(pairs), g), _BLACK)
+    for w in itertools.islice(_threshold_rounds(net, pairs, np.arange(g)), rank_bound):
+        pass
+    matrices = functools.cache(lambda: _rank_matrices(net, pairs, g, rank_bound))
+    colorings = {(p, q): PlaneColoring(p, q, w[i], view, rank_bound, dmax,
+                                       load_white=lambda i=i: matrices()[i])
+                 for i, (p, q) in enumerate(pairs)}
+    _assert_interior_monotone(colorings)
+    return colorings
+
+
+def _rank_matrices(net: Socn, pairs: list, g: int, rank_bound: int) -> np.ndarray:
+    """White ranks of ``pairs`` on [0, g)^2, one g x g matrix per pair.
+
+    Re-runs the threshold rounds of :func:`color_planes`.  Finite
+    thresholds stay below g (a round adds at most Dmax).  Row n turns
+    white at rank r on [w_r(n), w_{r-1}(n)): kept on [0, g)^2 as +r/-r at
+    the interval ends, summed along m at the end.
+    """
     cols = np.arange(g)
     planes = np.arange(len(pairs))[:, None]
     steps = np.zeros((len(pairs), g + 1, g), dtype=np.int32)
@@ -201,10 +242,7 @@ def color_planes(net: Socn, rank_bound: int, view: int,
         steps[planes, np.minimum(w, g), cols] -= r
         w = nxt
     np.cumsum(steps, axis=1, out=steps)
-    colorings = {(p, q): PlaneColoring(p, q, steps[i, :g], view, rank_bound, dmax)
-                 for i, (p, q) in enumerate(pairs)}
-    _assert_interior_monotone(colorings)
-    return colorings
+    return steps[:, :g]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +272,7 @@ def frontier(coloring: PlaneColoring) -> Frontier:
     if r <= 0:
         raise NetError("empty interior")
     # Rows are black prefixes of m, so the frontier is the black count - 1.
-    counts = (coloring.interior_view() == 0).sum(axis=0)
+    counts = coloring.black_counts()
     vals = [INF if blacks == r else int(blacks) - 1 for blacks in counts]
     return Frontier((coloring.p, coloring.q), vals)
 
@@ -346,7 +384,7 @@ def detect_belt_period(coloring: PlaneColoring, fit: BeltFit):
     period (1,1).
     """
     r = coloring.interior
-    b = (coloring.interior_view() == 0).sum(axis=0)
+    b = coloring.black_counts()
     if fit.kind == "HF":
         if (b == r).all():
             return (1, 1)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, InvariantError,
-                         Rule, SeqDescription, Socn, TuringMachine,
+                         RenderSpec, Rule, SeqDescription, Socn, TuringMachine,
+                         certify_colorings, color_planes, decide_sim,
                          doubleexp_period_instance, eval_prefix, net_sha256,
-                         parse_document, serialize_document)
+                         parse_document, render_plane, serialize_document)
 from ocn_gamelab.cli import main
 
 from oracles import (big_delta_certificate, prime_period_certificate, reference_find_period,
@@ -21,12 +22,15 @@ def write_doc(path, kind, value):
     return str(path)
 
 
+def drain_net():
+    return Socn(states=("p", "p1", "q", "q1"), actions=("a", "b"),
+                rules=(Rule("p", "a", -1, "p1"), Rule("p1", "b", 0, "p"),
+                       Rule("q", "a", -1, "q1"), Rule("q1", "b", -1, "q")))
+
+
 @pytest.fixture
 def drain_net_doc(tmp_path):
-    net = Socn(states=("p", "p1", "q", "q1"), actions=("a", "b"),
-               rules=(Rule("p", "a", -1, "p1"), Rule("p1", "b", 0, "p"),
-                      Rule("q", "a", -1, "q1"), Rule("q1", "b", -1, "q")))
-    return write_doc(tmp_path / "drain.json", "socn", net)
+    return write_doc(tmp_path / "drain.json", "socn", drain_net())
 
 
 @pytest.fixture
@@ -266,6 +270,39 @@ def test_sim_certify_build_then_verify(capsys, drain_net_doc, tmp_path):
     code, out, _ = run(capsys, "sim", "certify", "--net", drain_net_doc,
                        "--cert", cert_path)
     assert (code, out) == (0, "VERIFIED\n")
+
+
+def test_decision_path_builds_no_rank_matrix(capsys, drain_net_doc, tmp_path,
+                                             monkeypatch):
+    from ocn_gamelab import ocnsim
+    original = ocnsim._rank_matrices
+
+    def refuse(*args):
+        raise AssertionError("rank matrices built")
+    monkeypatch.setattr(ocnsim, "_rank_matrices", refuse)
+    net = drain_net()
+    assert decide_sim(net, "p", 3000, "q", 6000, view=16).kind == "yes"
+    assert certify_colorings(net, color_planes(net, 32, 16)).kind == "yes"
+    assert run(capsys, "sim", "certify", "--net", drain_net_doc,
+               "--out", str(tmp_path / "cert.json")) == (0, "VERIFIED\n", "")
+    assert run(capsys, "sim", "belts", "--net", drain_net_doc)[0] == 0
+    code, out, _ = run(capsys, "sim", "plane", "--net", drain_net_doc,
+                       "--left", "p", "--right", "q")
+    assert code == 0 and out.startswith("f(0) = 0\n")
+
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(ocnsim, "_rank_matrices", count)
+    cols = color_planes(net, 32, 16)
+    assert not calls
+    assert cols[("p", "q")].white[1, 1] == 2
+    assert cols[("q", "p")].rank(0, 1) is None
+    assert len(calls) == 1  # once for every plane of the call
+    render_plane(color_planes(net, 32, 16)[("p", "q")], RenderSpec())
+    assert len(calls) == 2
 
 
 def test_sim_certify_hash_mismatch(capsys, drain_net_doc, tmp_path):
@@ -547,10 +584,8 @@ def test_golden_unstable_fit(capsys, no_period_net_doc, tmp_path, monkeypatch):
     # hand, with a frontier 0,0,0,0,1,3,4,1 that repeats with no vector.
     from ocn_gamelab import PlaneColoring, cli
     frontier_values = [0, 0, 0, 0, 1, 3, 4, 1]
-    white = np.ones((8, 8), dtype=np.int32)
-    for n, f in enumerate(frontier_values):
-        white[:f + 1, n] = 0
-    coloring = PlaneColoring("p0", "p0", white, 8, 16, 2)
+    thresholds = np.array(frontier_values) + 1
+    coloring = PlaneColoring("p0", "p0", thresholds, 8, 16, 2)
     monkeypatch.setattr(cli, "color_planes",
                         lambda *args, **kwargs: {("p0", "p0"): coloring})
     unstable = ("UNSTABLE (plane ('p0', 'p0'): no frontier repetition over "

@@ -1,17 +1,19 @@
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from ocn_gamelab import (BeltCertificate, Config, MalformedCertificateError,
-                         NetError, PlaneBelt, ResourceGuardError, Rule, Socn,
+from ocn_gamelab import (INF, BeltCertificate, Config, InvariantError,
+                         MalformedCertificateError, NetError, PlaneBelt, PlaneColoring,
+                         ResourceGuardError, Rule, Socn,
                          belt_periods, bounded_attacker_search, build_certificate,
                          certify_colorings, classify_and_fit, color_planes, config_oracle,
                          decide_sim, detect_belt_period, frontier,
                          successors, trace_vector_travel, verify_certificate,
                          verify_certificate_explain)
-from ocn_gamelab.ocnsim import _query_rank
+from ocn_gamelab.ocnsim import _assert_interior_monotone, _query_rank
 
 import numpy as np
 
@@ -68,6 +70,27 @@ def test_drain_low_white_ranks():
     cols = color_planes(drain_net(), 32, 16)
     assert cols[("p", "q")].white[1, 1] == 2
     assert cols[("p1", "q1")].white[0, 0] == 1
+
+
+def test_rank_rejects_cells_outside_the_coloring():
+    pq = color_planes(drain_net(), 32, 16)[("p", "q")]
+    g = 16 + 32
+    assert pq.rank(1, 1) == 2 and pq.rank(0, g - 1) is None
+    for m, n in ((-1, 0), (3, -1), (g, 0), (0, g), (-1, -1)):
+        with pytest.raises(NetError, match="outside the coloring"):
+            pq.rank(m, n)
+
+
+def test_monotone_check_rejects_decreasing_black_counts():
+    # A plane is one threshold per row, so its rows are black prefixes of
+    # m and left-closure holds by construction; up-closure is what the
+    # check has left to catch.
+    falling = PlaneColoring("p", "q", np.array([2, 3, 1, 4]), 4, 8, 1)
+    with pytest.raises(InvariantError, match="black not up-closed"):
+        _assert_interior_monotone({("p", "q"): falling})
+    # Only the interior counts: thresholds past it are clipped to the view.
+    clipped = PlaneColoring("p", "q", np.array([1, 2, 9, 5, 0]), 4, 8, 1)
+    _assert_interior_monotone({("p", "q"): clipped})
 
 
 def test_drain_frontier_and_fit():
@@ -316,6 +339,10 @@ def assert_matches_grid_oracle(net, rank_bound, view):
     for plane, col in cols.items():
         assert np.array_equal(col.white, grid[plane][:g]), (
             net.rules, rank_bound, view, plane)
+        # The frontier comes from the thresholds; recompute it from the ranks.
+        blacks = (col.interior_view() == 0).sum(axis=0)
+        assert frontier(col).values == [INF if b == view else int(b) - 1 for b in blacks], (
+            net.rules, rank_bound, view, plane)
 
 
 def test_staircase_coloring_matches_grid_oracle():
@@ -331,8 +358,16 @@ def test_staircase_coloring_matches_grid_oracle():
 
 
 def test_large_view_coloring():
-    with time_limit(5.0):
-        cols = color_planes(drain_net(), 512, 256)
+    tracemalloc.start()
+    try:
+        with time_limit(5.0):
+            cols = color_planes(drain_net(), 512, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Thresholds only: the 16 rank matrices of 768 x 768 cells take 37 MB.
+    assert peak < 4 * 2 ** 20, peak
+    assert frontier(cols[("p", "q")]).values == [n // 2 for n in range(256)]
     black = cols[("p", "q")].interior_view() == 0
     m, n = np.ogrid[:256, :256]
     assert np.array_equal(black, n >= 2 * m)
