@@ -2,9 +2,10 @@
 
 The package groups four toolboxes that feed each other:
 
-* finite labelled transition systems with simulation and bisimulation
-  (:mod:`~ocn_gamelab.lts`), plus reachability games and counter
-  reachability games (:mod:`~ocn_gamelab.rgame`);
+* finite labelled transition systems with the simulation preorder and
+  a bounded attacker search (:mod:`~ocn_gamelab.lts`), plus
+  reachability games and counter reachability games
+  (:mod:`~ocn_gamelab.rgame`);
 * countdown games and their existential variant
   (:mod:`~ocn_gamelab.countdown`);
 * periodic sequence descriptions, their decision problems, and the
@@ -21,18 +22,16 @@ JSON input/output lives in :mod:`~ocn_gamelab.documents`, images in
 :mod:`~ocn_gamelab.cli`.
 """
 
-from .countdown import CountdownGame, EcgAnswer, solve_cg, solve_ecg, win_levels_stream
+from .countdown import CountdownGame, EcgAnswer, solve_cg, solve_ecg
 from .documents import (CertificateDoc, DocumentError, InputDocument, net_sha256,
                         parse_document, serialize_document)
-from .lts import (Lts, LtsError, bounded_attacker_search, disjoint_union,
-                  max_bisimulation, max_simulation, sim_rank)
+from .lts import Lts, LtsError, bounded_attacker_search, max_simulation
 from .ocnsim import (INF, BeltCertificate, BeltFit, Frontier, InvariantError,
                      MalformedCertificateError, PlaneBelt, PlaneColoring,
-                     ResourceGuardError, SimDecision, TravelResult, TravelStep,
-                     UnstableFitError, belt_periods, build_certificate,
-                     certify_colorings, classify_and_fit, color_planes, decide_sim,
-                     detect_belt_period, frontier, trace_vector_travel,
-                     verify_certificate, verify_certificate_explain)
+                     ResourceGuardError, SimDecision, UnstableFitError, belt_periods,
+                     build_certificate, certify_colorings, classify_and_fit,
+                     color_planes, decide_sim, detect_belt_period, frontier,
+                     verify_certificate_explain)
 from .reductions import (MimickingLts, dedup_rules, ecg_to_socnrg,
                          edge_action, rgame_to_mimicking_lts,
                          seqdesc_to_countdown, socnrgame_to_socn)
@@ -43,7 +42,7 @@ from .seqdesc import (EgspAnswer, PeriodAnswer, SeqDescription, SeqError,
                       TuringMachine, decide_egsp, decide_gsp,
                       doubleexp_period_instance, eval_at, eval_prefix, find_period,
                       head_symbol, symbol_stream, tm_to_seqdesc)
-from .socn import Config, NetError, Rule, Socn, config_oracle, successors
+from .socn import Config, NetError, Rule, Socn, successors
 
 __version__ = "0.1.0"
 
@@ -55,19 +54,16 @@ __all__ = [
     "MalformedCertificateError", "MimickingLts", "NetError", "PeriodAnswer",
     "PlaneBelt", "PlaneColoring", "RGame", "RenderError", "RenderSpec",
     "ResourceGuardError", "Rule", "SeqDescription", "SeqError", "SimDecision",
-    "Socn", "SocnRGame", "TravelResult", "TravelStep", "TuringMachine",
-    "UnstableFitError", "WinningArea",
+    "Socn", "SocnRGame", "TuringMachine", "UnstableFitError", "WinningArea",
     "belt_periods", "bounded_attacker_search", "build_certificate",
-    "certify_colorings", "classify_and_fit", "color_planes", "config_oracle",
+    "certify_colorings", "classify_and_fit", "color_planes",
     "decide_egsp", "decide_gsp", "decide_sim", "dedup_rules", "detect_belt_period",
-    "disjoint_union",
     "doubleexp_period_instance", "ecg_to_socnrg", "edge_action", "eval_at",
     "eval_prefix",
     "expand_region", "find_period", "fit_summary", "frontier", "head_symbol",
-    "max_bisimulation", "max_simulation", "net_sha256", "parse_document",
+    "max_simulation", "net_sha256", "parse_document",
     "rank_matrix", "render_all", "render_plane", "rgame_to_mimicking_lts",
-    "seqdesc_to_countdown", "serialize_document", "sim_rank", "socnrgame_to_socn",
+    "seqdesc_to_countdown", "serialize_document", "socnrgame_to_socn",
     "solve_cg", "solve_ecg", "successors", "symbol_stream", "tm_to_seqdesc",
-    "trace_vector_travel", "verify_certificate", "verify_certificate_explain",
-    "win_levels_stream", "winning_area",
+    "verify_certificate_explain", "winning_area",
 ]

@@ -316,10 +316,10 @@ def cmd_sim_certify(args) -> int:
 # Rendering
 
 
-def _render_spec(args) -> RenderSpec:
+def _render_spec(args, emit_ranks: bool = False) -> RenderSpec:
     return RenderSpec(format=args.format, cell_size=args.cell_size,
                       show_frontier=not args.no_frontier, show_fitted=args.fitted,
-                      emit_ranks=args.ranks)
+                      emit_ranks=emit_ranks)
 
 
 def cmd_render_plane(args) -> int:
@@ -352,7 +352,7 @@ def cmd_render_all(args) -> int:
             fits[plane] = classify_and_fit({plane: frontier(col)})[plane]
         except UnstableFitError:
             pass
-    written = render_all(colorings, fits, args.dir, _render_spec(args))
+    written = render_all(colorings, fits, args.dir, _render_spec(args, args.ranks))
     for path in written:
         print(path)
     return EXIT_OK
@@ -480,13 +480,13 @@ def build_parser() -> argparse.ArgumentParser:
     render_all_p = render_sub.add_parser("all", help="every plane into a directory")
     render_all_p.add_argument("--net", required=True)
     render_all_p.add_argument("--dir", required=True)
+    render_all_p.add_argument("--ranks", action="store_true",
+                              help="also write white-rank matrices")
     for p in (render_plane_p, render_all_p):
         p.add_argument("--format", choices=("pgm", "svg"), default="pgm")
         p.add_argument("--cell-size", type=int, default=1)
         p.add_argument("--no-frontier", action="store_true")
         p.add_argument("--fitted", action="store_true")
-        p.add_argument("--ranks", action="store_true",
-                       help="also write white-rank matrices")
         _add_view_options(p)
     render_plane_p.set_defaults(func=cmd_render_plane)
     render_all_p.set_defaults(func=cmd_render_all)

@@ -132,18 +132,6 @@ def _state(game: CountdownGame, p0: str) -> int:
     return index
 
 
-def win_levels_stream(game: CountdownGame):
-    """Yield (j, W(j)) in increasing j, W(j) a frozenset of state names,
-    keeping only an M-level segment.
-
-    W(0) contains exactly the target state; every later level comes
-    from the recurrence in :func:`_next_segment`.
-    """
-    states = game.states
-    for j, segment, _ in _levels(_Kernel(game)):
-        yield j, frozenset(states[i] for i in np.flatnonzero(segment[-1]).tolist())
-
-
 def _levels(kernel: _Kernel, start: int | None = None, limit: int | None = None):
     """Yield (j, segment ending in W(j), lam) for j = 0, 1, 2, ..., each
     segment a fresh array; from ``start`` >= M - 1 on, where the step no

@@ -1,14 +1,14 @@
 """Finite labelled transition systems and simulation machinery.
 
 The central objects are finite LTSs with named states and actions,
-the maximal simulation preorder and bisimulation equivalence on them,
-and the stratified rank of a non-simulation pair: the first round of
-the simulation game at which the attacker can force a win.  A bounded
-min-max search over lazily generated successor oracles covers the
-infinite LTSs that one-counter nets induce.
+the maximal simulation preorder on them, and the stratified rank of a
+non-simulation pair: the first round of the simulation game at which
+the attacker can force a win.  A bounded min-max search over lazily
+generated successor oracles covers the infinite LTSs that one-counter
+nets induce.
 
-Ranks here are plain naturals (math.inf for simulation pairs).  All
-systems in scope are image-finite, so no ordinal machinery is needed.
+Ranks here are plain naturals.  All systems in scope are image-finite,
+so no ordinal machinery is needed.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ class Lts:
                 out.append((a, self.states[di]))
         return out
 
-    def successor_oracle(self) -> SuccOracle:
-        """Adapter so finite LTSs plug into :func:`bounded_attacker_search`."""
-        return self.moves
-
     def _action_matrices(self) -> list[np.ndarray]:
         n = self.n_states
         mats = []
@@ -101,65 +97,28 @@ def _bool_mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0.5
 
 
-def _rank_table(lts: Lts, symmetric: bool) -> np.ndarray:
-    """Stratified rank table by Kleene iteration on a dense pair matrix.
+def max_simulation(lts: Lts) -> frozenset[Pair]:
+    """Greatest simulation on the LTS, as a set of (left, right) name pairs.
 
-    Entry [s,t] holds the round at which (s,t) was dropped from the
-    approximant chain, or 0 for pairs that survive to the fixpoint.
-    Rounds are synchronized: all drops of round r are computed from the
-    round r-1 approximant before any is applied.
+    Kleene iteration on a dense pair matrix: each round drops every
+    alive pair (s,t) with an attacker move s -a-> s1 that no a-move of t
+    answers into an alive pair.  Rounds are synchronized: all drops of a
+    round are computed from the previous approximant.
     """
     n = lts.n_states
     mats = lts._action_matrices()
     alive = np.ones((n, n), dtype=bool)
-    ranks = np.zeros((n, n), dtype=np.int64)
-    r = 0
     while True:
-        r += 1
         bad = np.zeros((n, n), dtype=bool)
         for m_a in mats:
             # can_answer[s1, t] : some a-successor t1 of t has (s1, t1) alive
             can_answer = _bool_mm(alive, m_a.T)
             # attacker move s -a-> s1 unanswered from t
             bad |= _bool_mm(m_a, ~can_answer)
-        if symmetric:
-            bad |= bad.T
-        dropped = alive & bad
-        if not dropped.any():
-            return ranks
-        ranks[dropped] = r
+        if not (alive & bad).any():
+            return frozenset((lts.states[si], lts.states[ti])
+                             for si, ti in zip(*np.nonzero(alive)))
         alive &= ~bad
-
-
-def _survivor_pairs(lts: Lts, table: np.ndarray) -> frozenset[Pair]:
-    pairs = []
-    for si, s in enumerate(lts.states):
-        for ti, t in enumerate(lts.states):
-            if table[si, ti] == 0:
-                pairs.append((s, t))
-    return frozenset(pairs)
-
-
-def max_simulation(lts: Lts) -> frozenset[Pair]:
-    """Greatest simulation on the LTS, as a set of (left, right) name pairs."""
-    return _survivor_pairs(lts, _rank_table(lts, symmetric=False))
-
-
-def max_bisimulation(lts: Lts) -> frozenset[Pair]:
-    """Greatest bisimulation; an equivalence contained in the simulation preorder."""
-    return _survivor_pairs(lts, _rank_table(lts, symmetric=True))
-
-
-def sim_rank(lts: Lts, s: str, t: str):
-    """Least r such that s is not r-step simulated by t, or math.inf.
-
-    rank 1 means an immediately unanswerable attacker move (an enabled
-    action mismatch); a finite rank r means the attacker wins the
-    simulation game from (s, t) in exactly r rounds against best play.
-    """
-    table = _rank_table(lts, symmetric=False)
-    r = int(table[lts._state_ix[s], lts._state_ix[t]])
-    return math.inf if r == 0 else r
 
 
 def bounded_attacker_search(succ_left: SuccOracle, succ_right: SuccOracle,
@@ -170,9 +129,11 @@ def bounded_attacker_search(succ_left: SuccOracle, succ_right: SuccOracle,
     The oracles map a state to its finite list of (action, successor)
     moves and may generate states lazily, so the search also works on
     the infinite LTSs of one-counter nets: within a finite budget only
-    finitely many pairs are reachable.  Returns the attacker's win rank
-    r <= budget (the true stratified rank), or None when the pair
-    survives ``budget`` rounds.  budget = 0 always returns None.
+    finitely many pairs are reachable.  ``Lts.moves`` is such an oracle,
+    and so is ``functools.partial(socn.successors, net)``.  Returns the
+    attacker's win rank r <= budget (the true stratified rank), or None
+    when the pair survives ``budget`` rounds.  budget = 0 always returns
+    None.
 
     ``_memo`` may be shared between calls over the same pair of oracles
     to reuse exact ranks and survival bounds.
@@ -223,29 +184,3 @@ def bounded_attacker_search(succ_left: SuccOracle, succ_right: SuccOracle,
 
     return rank_upto(pair[0], pair[1], budget)
 
-
-def disjoint_union(left: Lts, right: Lts) -> tuple[Lts, dict[str, str], dict[str, str]]:
-    """Combine two LTSs side by side; actions are unified by name.
-
-    Returns the combined system plus name maps for each side.  States of
-    the second system are renamed with a prime suffix until fresh, which
-    keeps cross-system simulation questions expressible in one LTS.
-    """
-    left_map = {s: s for s in left.states}
-    taken = set(left.states)
-    right_map = {}
-    for s in right.states:
-        name = s
-        while name in taken:
-            name += "'"
-        right_map[s] = name
-        taken.add(name)
-    actions = list(left.actions)
-    for a in right.actions:
-        if a not in actions:
-            actions.append(a)
-    transitions = list(left.transitions)
-    transitions += [(right_map[u], a, right_map[v]) for u, a, v in right.transitions]
-    combined = Lts(list(left.states) + [right_map[s] for s in right.states],
-                   actions, transitions)
-    return combined, left_map, right_map

@@ -80,9 +80,8 @@ class PlaneColoring:
     of one :func:`color_planes` call at once.  ``white[m,n]`` is 0 for a
     black candidate and r >= 1 when the attacker wins from (p(m), q(n))
     in exactly r rounds.  Ranks up to K are exact on the interior; in a
-    row n < R + j*Dmax they are exact up to K - j, which covers every
-    cell a vector travel reads.  A coloring made without ``load_white``
-    has no white ranks.
+    row n < R + j*Dmax they are exact up to K - j.  A coloring made
+    without ``load_white`` has no white ranks.
     """
 
     p: str
@@ -678,12 +677,6 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
     return not failures, failures
 
 
-def verify_certificate(net: Socn, cert: BeltCertificate) -> bool:
-    """True iff the certified black set is closed under the game step."""
-    ok, _ = verify_certificate_explain(net, cert)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Decision procedure
 
@@ -842,115 +835,3 @@ def decide_sim(net: Socn, p: str, m: int, q: str, n: int,
         return SimDecision("unknown", diagnostics=decision.diagnostics)
     return decision
 
-
-# ---------------------------------------------------------------------------
-# Vector travel
-
-
-@dataclass
-class TravelStep:
-    plane: tuple
-    start: tuple
-    end: tuple
-    white_rank: int
-    action: str
-
-
-@dataclass
-class TravelResult:
-    """Travel trace; ``mismatch_action`` names the unanswerable action
-    when the final white end has rank 1."""
-
-    steps: list
-    mismatch_action: str | None = None
-
-
-def trace_vector_travel(net: Socn, colorings: dict, plane: tuple,
-                        start: tuple, end: tuple) -> TravelResult:
-    """Walk a black-white vector to an axis with decreasing white ranks.
-
-    At each step the attacker fixes a rule from the white end's left
-    state whose every enabled response lands white with a smaller rank,
-    and the defender answers it from the black start into a black
-    candidate; both endpoints shift by the common rule offsets, landing
-    in the defended plane.  The walk continues while one of the three
-    side conditions holds (start off the vertical axis with the end off
-    the horizontal axis, or the degenerate on-axis variants) and ends
-    with the start on the vertical axis or the end on the horizontal
-    axis.  Horizontal vectors end on the vertical axis, vertical ones
-    on the horizontal axis.
-
-    Stuck searches inside the exact interior are invariant breaches:
-    for truly black starts the step lemma guarantees progress.
-    """
-    if not net.unary:
-        raise NetError("vector travel requires a unary net")
-    p, q = plane
-    if (p, q) not in colorings:
-        raise NetError(f"no coloring for plane {plane}")
-    col = colorings[(p, q)]
-    (m, n), (m2, n2) = start, end
-    r0 = col.interior
-    for x, y in (start, end):
-        if not (0 <= x < r0 and 0 <= y < r0):
-            raise NetError(f"cell ({x},{y}) outside the exact interior")
-    if col.white[m, n] != 0:
-        raise NetError(f"start cell {start} is not a black candidate")
-    rank = int(col.white[m2, n2])
-    if rank == 0:
-        raise NetError(f"end cell {end} is not white")
-
-    steps = []
-    while True:
-        keep_going = ((m > 0 and n2 > 0)
-                      or (m > 0 and n == n2 == 0)
-                      or (m == m2 == 0 and n2 > 0))
-        if not keep_going:
-            break
-        attacker = None
-        for ra in net.rules_from(p):
-            if m2 + ra.delta < 0:
-                continue
-            responses = [rd for rd in net.rules_from(q)
-                         if rd.action == ra.action and n2 + rd.delta >= 0]
-            if all(0 < colorings[(ra.to, rd.to)].white[m2 + ra.delta, n2 + rd.delta] < rank
-                   for rd in responses):
-                attacker = ra
-                break
-        if attacker is None:
-            raise InvariantError(
-                f"no rank-reducing attacker rule at white ({p},{q})({m2},{n2}) rank {rank}")
-        if m + attacker.delta < 0:
-            raise InvariantError("attacker rule disabled at the black start")
-        defender = None
-        for rd in net.rules_from(q):
-            if rd.action != attacker.action or n + rd.delta < 0:
-                continue
-            if colorings[(attacker.to, rd.to)].white[m + attacker.delta, n + rd.delta] == 0:
-                defender = rd
-                break
-        if defender is None:
-            raise InvariantError(
-                f"black start ({p},{q})({m},{n}) has no black-preserving response "
-                f"to action {attacker.action}")
-        if n2 + defender.delta < 0:
-            raise InvariantError("defender rule disabled at the white end")
-        p, q = attacker.to, defender.to
-        m, m2 = m + attacker.delta, m2 + attacker.delta
-        n, n2 = n + defender.delta, n2 + defender.delta
-        new_rank = int(colorings[(p, q)].white[m2, n2])
-        if not 0 < new_rank < rank:
-            raise InvariantError("white rank did not decrease")
-        rank = new_rank
-        steps.append(TravelStep((p, q), (m, n), (m2, n2), new_rank, attacker.action))
-
-    mismatch = None
-    if rank == 1:
-        for ra in net.rules_from(p):
-            if m2 + ra.delta < 0:
-                continue
-            if not any(rd.action == ra.action and n2 + rd.delta >= 0
-                       for rd in net.rules_from(q)):
-                mismatch = ra.action
-                break
-    return TravelResult(steps, mismatch_action=mismatch)

@@ -2,11 +2,14 @@
 
 Images show the exact interior of one plane with the attacker's
 counter rightward and the defender's counter upward, black for
-simulation candidates and white for refuted cells.  Plain PGM keeps
-the output dependency-free and diff-able; SVG adds the frontier
-polyline and fitted belt lines as overlays.  Identical inputs give
-identical bytes.  A PGM over ``DEFAULT_CELL_BUDGET`` pixels is refused
-with ``ResourceGuardError`` before any of it is built.
+simulation candidates and white for refuted cells.  Images read the
+black cells off the plane's thresholds (cell (m,n) is black exactly
+when m < thresholds[n]), so only the companion rank matrices build the
+white ranks.  Plain PGM keeps the output dependency-free and
+diff-able; SVG adds the frontier polyline and fitted belt lines as
+overlays.  Identical inputs give identical bytes.  A PGM over
+``DEFAULT_CELL_BUDGET`` pixels, or an SVG over ``SVG_CELLS`` cells, is
+refused with ``ResourceGuardError`` before any of it is built.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from fractions import Fraction
 
 from .ocnsim import (DEFAULT_CELL_BUDGET, INF, BeltFit, PlaneColoring,
                      ResourceGuardError, frontier)
+
+# An SVG costs about 60 bytes per cell, whatever the cell size: this
+# bound keeps it near the 30 MB of the largest PGM.
+SVG_CELLS = DEFAULT_CELL_BUDGET // 32
 
 
 class RenderError(ValueError):
@@ -71,11 +78,10 @@ def _render_pgm(coloring: PlaneColoring, cs: int) -> bytes:
         raise ResourceGuardError(
             f"PGM image needs {r * cs}x{r * cs} pixels ({r} cells of size {cs}), "
             f"more than {DEFAULT_CELL_BUDGET}")
-    white = coloring.interior_view()
+    blacks = coloring.black_counts().tolist()
     lines = ["P2", f"{r * cs} {r * cs}", "1"]
     for n in reversed(range(r)):
-        cells = ["0" if white[m, n] == 0 else "1" for m in range(r)]
-        row = " ".join(c for c in cells for _ in range(cs))
+        row = " ".join(["0"] * (blacks[n] * cs) + ["1"] * ((r - blacks[n]) * cs))
         lines.extend([row] * cs)
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -83,8 +89,11 @@ def _render_pgm(coloring: PlaneColoring, cs: int) -> bytes:
 def _render_svg(coloring: PlaneColoring, spec: RenderSpec,
                 fit: BeltFit | None) -> bytes:
     r, cs = coloring.interior, spec.cell_size
+    if r * r > SVG_CELLS:
+        raise ResourceGuardError(
+            f"SVG image needs {r}x{r} cells, one element each, more than {SVG_CELLS}")
     side = r * cs
-    white = coloring.interior_view()
+    blacks = coloring.black_counts().tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
         f' viewBox="0 0 {side} {side}">'
@@ -92,7 +101,7 @@ def _render_svg(coloring: PlaneColoring, spec: RenderSpec,
     for n in reversed(range(r)):
         y = (r - 1 - n) * cs
         for m in range(r):
-            fill = "#000000" if white[m, n] == 0 else "#ffffff"
+            fill = "#000000" if m < blacks[n] else "#ffffff"
             parts.append(f'<rect x="{m * cs}" y="{y}" width="{cs}" height="{cs}"'
                          f' fill="{fill}"/>')
     if spec.show_frontier:

@@ -78,8 +78,3 @@ def successors(net: Socn, c: Config) -> list[tuple[str, Config]]:
         if n >= 0:
             out.append((r.action, Config(r.to, n)))
     return out
-
-
-def config_oracle(net: Socn):
-    """Successor oracle over configurations for the bounded game search."""
-    return lambda c: successors(net, c)

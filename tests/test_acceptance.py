@@ -13,6 +13,7 @@ On success each test prints one `ACCEPTANCE n: PASS ...` line (run
 pytest with -s to see them alongside the verdicts).
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -23,21 +24,22 @@ import pytest
 from ocn_gamelab import (Config, CountdownGame, InputDocument, Rule,
                          SeqDescription, Socn, TuringMachine,
                          bounded_attacker_search, build_certificate,
-                         classify_and_fit, color_planes, config_oracle,
+                         classify_and_fit, color_planes,
                          decide_sim, dedup_rules, detect_belt_period,
                          doubleexp_period_instance, eval_at, eval_prefix,
                          expand_region, find_period, frontier,
-                         max_bisimulation, max_simulation,
+                         max_simulation,
                          rgame_to_mimicking_lts, seqdesc_to_countdown,
                          serialize_document, socnrgame_to_socn, solve_cg,
-                         solve_ecg, trace_vector_travel, verify_certificate,
-                         win_levels_stream, winning_area)
+                         solve_ecg, successors, verify_certificate_explain,
+                         winning_area)
 from ocn_gamelab.cli import main
+from ocn_gamelab.countdown import _Kernel, _levels
 
-from oracles import (canonical_unary_nets, expected_net_successors, is_one_step_closed,
-                     mimicking_bisim_witness, random_countdown, random_rgame,
-                     random_seqdesc, random_socnrgame, random_unary_net,
-                     recursive_cg, sink_winning_area)
+from oracles import (brute_bisimulation, canonical_unary_nets, expected_net_successors,
+                     is_one_step_closed, mimicking_bisim_witness, random_countdown,
+                     random_rgame, random_seqdesc, random_socnrgame, random_unary_net,
+                     recursive_cg, sink_winning_area, trace_vector_travel)
 
 BLANK = " "
 
@@ -47,12 +49,9 @@ def announce(criterion, detail):
 
 
 def levels_upto(game, upto):
-    out = []
-    for j, level in win_levels_stream(game):
-        if j > upto:
-            break
-        out.append(level)
-    return out
+    """W(0), ..., W(upto) as sets of state names."""
+    return [frozenset(game.states[i] for i in np.flatnonzero(segment[-1]))
+            for _, segment, _ in _levels(_Kernel(game), limit=upto)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def test_criterion_03_reachability_games_embed_into_simulation():
         wa = winning_area(game)
         ml = rgame_to_mimicking_lts(game)
         sim = max_simulation(ml.lts)
-        bis = max_bisimulation(ml.lts)
+        bis = brute_bisimulation(ml.lts)
         losing = set()
         for v in game.vertices:
             copies = (ml.plain[v], ml.primed[v])
@@ -214,7 +213,7 @@ def test_criterion_05_net_construction_cells_and_refutations():
         game = random_socnrgame(rng)
         ded = dedup_rules(game)
         net = socnrgame_to_socn(ded)
-        oracle = config_oracle(net)
+        oracle = functools.partial(successors, net)
         for cfg, succs in expected_net_successors(ded, 30).items():
             assert set(oracle(cfg)) == succs, cfg
             cells += 1
@@ -264,10 +263,10 @@ def test_criterion_06_drain_net_belt_structure():
     periods = {pl: detect_belt_period(cols[pl], f)
                for pl, f in fits.items() if f.kind == "SF"}
     cert = build_certificate(cols, periods)
-    assert verify_certificate(net, cert)
+    assert verify_certificate_explain(net, cert)[0]
     yes = decide_sim(net, "p", 3, "q", 6)
     assert yes.kind == "yes"
-    assert verify_certificate(net, yes.certificate)
+    assert verify_certificate_explain(net, yes.certificate)[0]
     no = decide_sim(net, "p", 3, "q", 5)
     assert no.kind == "no"
     # Ranks count single moves and each descent costs an a move and a
@@ -287,7 +286,7 @@ def test_criterion_06_drain_net_belt_structure():
 
 def assert_coloring_exact_and_monotone(net, rank_bound, view):
     cols = color_planes(net, rank_bound, view)
-    oracle = config_oracle(net)
+    oracle = functools.partial(successors, net)
     memo = {}
     cells = 0
     for (p, q), col in cols.items():

@@ -8,7 +8,7 @@ from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Invariant
                          RenderSpec, Rule, SeqDescription, Socn, TuringMachine,
                          certify_colorings, color_planes, decide_sim,
                          doubleexp_period_instance, eval_prefix, net_sha256,
-                         parse_document, render_plane, serialize_document)
+                         parse_document, rank_matrix, render_plane, serialize_document)
 from ocn_gamelab.cli import main
 
 from oracles import (big_delta_certificate, prime_period_certificate, reference_find_period,
@@ -301,7 +301,13 @@ def test_decision_path_builds_no_rank_matrix(capsys, drain_net_doc, tmp_path,
     assert cols[("p", "q")].white[1, 1] == 2
     assert cols[("q", "p")].rank(0, 1) is None
     assert len(calls) == 1  # once for every plane of the call
-    render_plane(color_planes(net, 32, 16)[("p", "q")], RenderSpec())
+    # Images read the black cells off the thresholds; only the rank
+    # dump builds the matrices.
+    plane = color_planes(net, 32, 16)[("p", "q")]
+    render_plane(plane, RenderSpec())
+    render_plane(plane, RenderSpec(format="svg"))
+    assert len(calls) == 1
+    rank_matrix(plane)
     assert len(calls) == 2
 
 
@@ -385,6 +391,31 @@ def test_render_refuses_an_oversized_pgm(capsys, tmp_path):
     assert (code, out) == (4, "")
     assert err.startswith("resource guard: PGM image needs 200000x200000 pixels")
     assert err.count("\n") == 1 and not out_path.exists()
+
+
+def test_render_refuses_an_oversized_svg(capsys, tmp_path):
+    # 4000 x 4000 cells pass the coloring guard, but the SVG would be
+    # about 1 GB.
+    net = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", 0, "s"),))
+    net_path = write_doc(tmp_path / "loop.json", "socn", net)
+    out_path = tmp_path / "plane.svg"
+    with time_limit(2.0):
+        code, out, err = run(capsys, "render", "plane", "--net", net_path,
+                             "--left", "s", "--right", "s", "--view", "4000",
+                             "--format", "svg", "--out", str(out_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: SVG image needs 4000x4000 cells")
+    assert err.count("\n") == 1 and not out_path.exists()
+
+
+def test_render_plane_has_no_ranks_option(capsys, drain_net_doc, tmp_path):
+    out_path = tmp_path / "plane.pgm"
+    code, out, err = run(capsys, "render", "plane", "--net", drain_net_doc,
+                         "--left", "p", "--right", "q", "--ranks",
+                         "--out", str(out_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error:") and "--ranks" in err
+    assert not out_path.exists()
 
 
 def test_render_all_manifest(capsys, drain_net_doc, tmp_path):

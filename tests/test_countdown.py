@@ -1,13 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocn_gamelab import (CountdownGame, GameError, SocnRGame, doubleexp_period_instance,
                          expand_region, seqdesc_to_countdown, solve_cg, solve_ecg,
-                         win_levels_stream, winning_area)
+                         winning_area)
+from ocn_gamelab.countdown import _Kernel, _levels
 
 from oracles import (random_countdown, random_socnrgame, recursive_cg,
                      reference_game_error, reference_levels, reference_solve_ecg,
@@ -15,12 +17,9 @@ from oracles import (random_countdown, random_socnrgame, recursive_cg,
 
 
 def levels(game, upto):
-    out = []
-    for j, level in win_levels_stream(game):
-        if j > upto:
-            break
-        out.append(level)
-    return out
+    """W(0), ..., W(upto) as sets of state names."""
+    return [frozenset(game.states[i] for i in np.flatnonzero(segment[-1]))
+            for _, segment, _ in _levels(_Kernel(game), limit=upto)]
 
 
 def test_level_zero_is_the_target():

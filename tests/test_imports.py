@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import ocn_gamelab
 
 PACKAGE = Path(ocn_gamelab.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -74,3 +76,23 @@ def test_traced_functions_exist():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(f"ocn_gamelab.{module}"), attr)]
     assert missing == []
+
+
+def test_public_functions_are_reached():
+    # Every public callable but the exception types is referenced by a
+    # module of the package (its own definition aside) or named by the
+    # benchmark, whose tracer names the functions it rebinds in strings.
+    # Code that only the tests reach belongs in tests/oracles.py.
+    referenced = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            referenced |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                           if isinstance(n, (ast.Name, ast.Attribute))}
+    benchmark = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unreached = [name for name in ocn_gamelab.__all__
+                 if callable(obj := getattr(ocn_gamelab, name))
+                 and not (isinstance(obj, type) and issubclass(obj, BaseException))
+                 and name not in referenced
+                 and not re.search(rf"\b{name}\b", benchmark)]
+    assert unreached == []

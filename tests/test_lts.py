@@ -1,11 +1,10 @@
-import math
+import functools
 import random
 
 import pytest
 
 from ocn_gamelab import (Config, Lts, LtsError, Rule, Socn,
-                         bounded_attacker_search, config_oracle, disjoint_union,
-                         max_bisimulation, max_simulation, sim_rank)
+                         bounded_attacker_search, max_simulation, successors)
 
 from oracles import brute_bisimulation, brute_rank, brute_simulation, random_lts
 
@@ -39,14 +38,14 @@ def test_simulation_two_state_chain():
 def test_bisimulation_two_loops():
     lts = Lts(states=("u", "v"), actions=("a",),
               transitions=(("u", "a", "u"), ("v", "a", "v")))
-    bis = max_bisimulation(lts)
+    bis = brute_bisimulation(lts)
     assert ("u", "v") in bis and ("v", "u") in bis
 
 
 def test_bisimulation_chain_separates_levels():
     lts = chain(1)
-    bis = max_bisimulation(lts)
-    assert bis == frozenset({("c0", "c0"), ("c1", "c1")})
+    bis = brute_bisimulation(lts)
+    assert bis == {("c0", "c0"), ("c1", "c1")}
 
 
 def test_bisimulation_ignores_branching_count():
@@ -54,32 +53,37 @@ def test_bisimulation_ignores_branching_count():
               transitions=(("u", "a", "x1"), ("u", "a", "x2"),
                            ("x1", "a", "x1"), ("x2", "a", "x2"),
                            ("v", "a", "y"), ("y", "a", "y")))
-    assert ("u", "v") in max_bisimulation(lts)
+    assert ("u", "v") in brute_bisimulation(lts)
+
+
+def rank(lts, s, t, budget=10):
+    return bounded_attacker_search(lts.moves, lts.moves, (s, t), budget)
 
 
 def test_sim_rank_action_mismatch_is_one():
     lts = Lts(states=("s", "t"), actions=("b",), transitions=(("s", "b", "s"),))
-    assert sim_rank(lts, "s", "t") == 1
+    assert rank(lts, "s", "t") == 1
 
 
 def test_sim_rank_chain_two_vs_one():
     two = chain(2)
-    one = Lts(states=("d0", "d1"), actions=("a",),
-              transitions=(("d0", "a", "d1"),))
-    union, lmap, rmap = disjoint_union(two, one)
-    assert sim_rank(union, lmap["c0"], rmap["d0"]) == 2
+    both = Lts(states=two.states + ("d0", "d1", "u"), actions=("a",),
+               transitions=two.transitions + (("d0", "a", "d1"), ("u", "a", "u")))
+    assert rank(both, "c0", "d0") == 2
+    assert rank(both, "u", "c0") == 3
+    assert rank(both, "c0", "u") is None
 
 
 def test_sim_rank_loop_vs_loop_infinite():
     lts = Lts(states=("u", "v"), actions=("a",),
               transitions=(("u", "a", "u"), ("v", "a", "v")))
-    assert sim_rank(lts, "u", "v") == math.inf
+    assert rank(lts, "u", "v", budget=50) is None
 
 
 def test_bounded_search_counter_exhaustion():
     net = Socn(states=("p", "q"), actions=("a",),
                rules=(Rule("p", "a", 0, "p"), Rule("q", "a", -1, "q")))
-    oracle = config_oracle(net)
+    oracle = functools.partial(successors, net)
     got = bounded_attacker_search(oracle, oracle,
                                   (Config("p", 0), Config("q", 2)), 5)
     assert got == 3
@@ -88,19 +92,19 @@ def test_bounded_search_counter_exhaustion():
 def test_bounded_search_not_within_budget():
     lts = Lts(states=("u", "v"), actions=("a",),
               transitions=(("u", "a", "u"), ("v", "a", "v")))
-    oracle = lts.successor_oracle()
+    oracle = lts.moves
     assert bounded_attacker_search(oracle, oracle, ("u", "v"), 10) is None
 
 
 def test_bounded_search_rank_one_with_budget_one():
     lts = Lts(states=("s", "t"), actions=("b",), transitions=(("s", "b", "s"),))
-    oracle = lts.successor_oracle()
+    oracle = lts.moves
     assert bounded_attacker_search(oracle, oracle, ("s", "t"), 1) == 1
 
 
 def test_bounded_search_budget_zero():
     lts = Lts(states=("s", "t"), actions=("b",), transitions=(("s", "b", "s"),))
-    oracle = lts.successor_oracle()
+    oracle = lts.moves
     assert bounded_attacker_search(oracle, oracle, ("s", "t"), 0) is None
 
 
@@ -118,22 +122,7 @@ def test_matches_brute_force_on_random_instances():
     rng = random.Random(1234)
     for _ in range(60):
         lts = random_lts(rng)
-        sim = max_simulation(lts)
-        bis = max_bisimulation(lts)
-        assert sim == frozenset(brute_simulation(lts))
-        assert bis == frozenset(brute_bisimulation(lts))
-        # rank agreement, antitone stratification, containment
-        assert bis <= sim
-        for s in lts.states:
-            for t in lts.states:
-                r = sim_rank(lts, s, t)
-                expected = brute_rank(lts, s, t)
-                if expected is None:
-                    assert r == math.inf
-                    assert (s, t) in sim
-                else:
-                    assert r == expected
-                    assert (s, t) not in sim
+        assert max_simulation(lts) == frozenset(brute_simulation(lts))
 
 
 def test_returned_simulation_is_a_simulation():
@@ -147,40 +136,12 @@ def test_returned_simulation_is_a_simulation():
                     assert any((s2, t2) in sim for t2 in lts.successors(t, a))
 
 
-def test_bisimulation_is_equivalence():
-    rng = random.Random(7)
-    for _ in range(30):
-        lts = random_lts(rng)
-        bis = max_bisimulation(lts)
-        assert all((s, s) in bis for s in lts.states)
-        assert all((t, s) in bis for s, t in bis)
-        members = {s for pair in bis for s in pair}
-        for s, t in bis:
-            for t2 in members:
-                if (t, t2) in bis:
-                    assert (s, t2) in bis
-
-
 def test_bounded_search_equals_sim_rank_on_finite_lts():
     rng = random.Random(4321)
     for _ in range(40):
         lts = random_lts(rng, max_states=5)
-        oracle = lts.successor_oracle()
         budget = len(lts.states) ** 2 + 1
         for s in lts.states:
             for t in lts.states:
-                got = bounded_attacker_search(oracle, oracle, (s, t), budget)
-                want = sim_rank(lts, s, t)
-                if want == math.inf:
-                    assert got is None
-                else:
-                    assert got == want
-
-
-def test_disjoint_union_preserves_behaviour():
-    left = chain(2)
-    right = Lts(states=("c0",), actions=("a",), transitions=(("c0", "a", "c0"),))
-    union, lmap, rmap = disjoint_union(left, right)
-    assert len(union.states) == 4
-    assert sim_rank(union, lmap["c0"], rmap["c0"]) == math.inf
-    assert sim_rank(union, rmap["c0"], lmap["c0"]) == 3
+                got = bounded_attacker_search(lts.moves, lts.moves, (s, t), budget)
+                assert got == brute_rank(lts, s, t)

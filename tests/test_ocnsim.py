@@ -1,4 +1,5 @@
 import copy
+import functools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,17 +10,16 @@ from ocn_gamelab import (INF, BeltCertificate, Config, InvariantError,
                          MalformedCertificateError, NetError, PlaneBelt, PlaneColoring,
                          ResourceGuardError, Rule, Socn,
                          belt_periods, bounded_attacker_search, build_certificate,
-                         certify_colorings, classify_and_fit, color_planes, config_oracle,
+                         certify_colorings, classify_and_fit, color_planes,
                          decide_sim, detect_belt_period, frontier,
-                         successors, trace_vector_travel, verify_certificate,
-                         verify_certificate_explain)
+                         successors, verify_certificate_explain)
 from ocn_gamelab.ocnsim import _assert_interior_monotone, _query_rank
 
 import numpy as np
 
 from oracles import (big_delta_certificate, canonical_unary_nets, grid_color_planes,
                      prime_period_certificate, random_succinct_net, random_unary_net,
-                     time_limit)
+                     time_limit, trace_vector_travel)
 
 
 def drain_net():
@@ -118,7 +118,7 @@ def test_drain_certificate_verifies():
     periods = {pl: detect_belt_period(cols[pl], f)
                for pl, f in fits.items() if f.kind == "SF"}
     cert = build_certificate(cols, periods)
-    assert verify_certificate(drain_net(), cert)
+    assert verify_certificate_explain(drain_net(), cert)[0]
     assert cert.covers("p", 3, "q", 6)
     assert not cert.covers("p", 3, "q", 5)
     # The pipeline entry point runs exactly these stages.
@@ -142,14 +142,14 @@ def test_steep_belt_survives_view_censoring():
     belt = cert.planes[("q", "p")]
     assert belt.base == [2 * n for n in range(16)]
     assert cert.frontier_at(("q", "p"), 30) == 60
-    assert verify_certificate(drain_net(), cert)
+    assert verify_certificate_explain(drain_net(), cert)[0]
 
 
 def test_drain_decide_sim_both_ways():
     net = drain_net()
     yes = decide_sim(net, "p", 3, "q", 6)
     assert yes.kind == "yes"
-    assert verify_certificate(net, yes.certificate)
+    assert verify_certificate_explain(net, yes.certificate)[0]
     no = decide_sim(net, "p", 3, "q", 5)
     assert no.kind == "no"
     assert no.rank == 6
@@ -237,7 +237,7 @@ def test_loop_net_certificate():
     periods = {pl: detect_belt_period(cols[pl], f)
                for pl, f in fits.items() if f.kind == "SF"}
     cert = build_certificate(cols, periods)
-    assert verify_certificate(net, cert)
+    assert verify_certificate_explain(net, cert)[0]
     assert cert.covers("q", 7, "p", 0)
     assert not cert.covers("p", 0, "q", 7)
     assert decide_sim(net, "q", 7, "p", 0).kind == "yes"
@@ -248,7 +248,7 @@ def test_ruleless_net_is_all_black_and_verifies():
     cols = color_planes(net, 8, 4)
     assert not cols[("s", "s")].white.any()
     cert = build_certificate(cols, {})
-    assert verify_certificate(net, cert)
+    assert verify_certificate_explain(net, cert)[0]
     assert cert.covers("s", 3, "s", 0)
 
 
@@ -270,21 +270,21 @@ def test_tampered_certificate_is_rejected_not_crashed():
 def test_malformed_certificates_raise():
     net = drain_net()
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(0, {}))
+        verify_certificate_explain(net, BeltCertificate(0, {}))
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(
+        verify_certificate_explain(net, BeltCertificate(
             4, {("p", "zz"): PlaneBelt("VF", [0, 0, 0, 0])}))
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(
+        verify_certificate_explain(net, BeltCertificate(
             4, {("p", "q"): PlaneBelt("XX", [0, 0, 0, 0])}))
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(
+        verify_certificate_explain(net, BeltCertificate(
             4, {("p", "q"): PlaneBelt("VF", [0, 0])}))
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(
+        verify_certificate_explain(net, BeltCertificate(
             4, {("p", "q"): PlaneBelt("SF", [0, 0, 0, 0], period=(0, 1))}))
     with pytest.raises(MalformedCertificateError):
-        verify_certificate(net, BeltCertificate(
+        verify_certificate_explain(net, BeltCertificate(
             4, {("p", "q"): PlaneBelt("VF", [3, 2, 1, 0])}))
 
 
@@ -322,7 +322,7 @@ def test_interior_ranks_match_bounded_search():
         net = random_unary_net(rng)
         view, bound = 6, 12
         cols = color_planes(net, bound, view)
-        oracle = config_oracle(net)
+        oracle = functools.partial(successors, net)
         for (p, q), col in cols.items():
             for m in range(view):
                 for n in range(view):
@@ -380,7 +380,7 @@ def test_big_delta_infinite_rows_verify_in_time():
 
 
 def assert_query_ranks_match_search(net, rng, queries):
-    oracle = config_oracle(net)
+    oracle = functools.partial(successors, net)
     for _ in range(queries):
         p, q = rng.choice(net.states), rng.choice(net.states)
         m, n, budget = rng.randint(0, 15), rng.randint(0, 15), rng.randint(0, 10)
@@ -400,8 +400,9 @@ def test_query_rank_matches_attacker_search():
                        Rule("t", "a", -big, "s"), Rule("t", "b", 1, "t"),
                        Rule("s", "b", -1, "t"), Rule("t", "a", big - 1, "t")))
     assert_query_ranks_match_search(wide, rng, 40)
+    wide_oracle = functools.partial(successors, wide)
     assert _query_rank(wide, "s", big, "t", 3 * big, 10, 10 ** 6) == bounded_attacker_search(
-        config_oracle(wide), config_oracle(wide), (Config("s", big), Config("t", 3 * big)), 10)
+        wide_oracle, wide_oracle, (Config("s", big), Config("t", 3 * big)), 10)
     ruleless = Socn(states=("s",), actions=("a",), rules=())
     assert_query_ranks_match_search(ruleless, rng, 10)
     # The pair (t, s) has no attacker rule; (s, t) has no response.
@@ -414,7 +415,7 @@ def test_query_rank_matches_attacker_search():
 
 def test_query_rank_on_counters_beyond_64_bits():
     net = drain_net()
-    oracle = config_oracle(net)
+    oracle = functools.partial(successors, net)
     for p, m, q, n in (("p", 10 ** 30, "q", 1), ("p", 2 ** 62, "q", 3),
                        ("p", 10 ** 30, "q", 10 ** 30), ("p1", 2 ** 63, "q", 10 ** 20)):
         want = bounded_attacker_search(oracle, oracle, (Config(p, m), Config(q, n)), 10)

@@ -1,4 +1,4 @@
-import math
+import functools
 import random
 
 import pytest
@@ -7,14 +7,14 @@ import numpy as np
 
 from ocn_gamelab import (ADAM, EVE, Config, CountdownGame, GameError, RGame,
                          Rule, SeqDescription, SocnRGame,
-                         bounded_attacker_search, config_oracle, dedup_rules,
+                         bounded_attacker_search, dedup_rules,
                          doubleexp_period_instance, ecg_to_socnrg, edge_action,
-                         expand_region, max_bisimulation, max_simulation,
+                         expand_region, max_simulation,
                          rgame_to_mimicking_lts, seqdesc_to_countdown,
-                         sim_rank, socnrgame_to_socn, solve_cg, solve_ecg,
+                         socnrgame_to_socn, solve_cg, solve_ecg, successors,
                          winning_area)
 
-from oracles import (expected_net_successors, is_one_step_closed,
+from oracles import (brute_bisimulation, expected_net_successors, is_one_step_closed,
                      mimicking_bisim_witness, random_socnrgame,
                      reference_seqdesc_to_countdown)
 
@@ -262,12 +262,17 @@ def test_winning_vertices_are_not_simulated():
     assert (ml.plain["v0"], ml.primed["v0"]) not in sim
     assert (ml.plain["tgt"], ml.primed["tgt"]) not in sim
     assert (ml.plain["dead"], ml.primed["dead"]) in sim
-    assert (ml.plain["dead"], ml.primed["dead"]) in max_bisimulation(ml.lts)
+    assert (ml.plain["dead"], ml.primed["dead"]) in brute_bisimulation(ml.lts)
+
+
+def mimicking_rank(ml, v, budget=10):
+    return bounded_attacker_search(ml.lts.moves, ml.lts.moves,
+                                   (ml.plain[v], ml.primed[v]), budget)
 
 
 def test_target_rank_is_one():
     ml = rgame_to_mimicking_lts(eve_reach_game())
-    assert sim_rank(ml.lts, ml.plain["tgt"], ml.primed["tgt"]) == 1
+    assert mimicking_rank(ml, "tgt") == 1
 
 
 def test_adam_dodge_makes_copies_bisimilar():
@@ -275,7 +280,7 @@ def test_adam_dodge_makes_copies_bisimilar():
               owner={"v0": ADAM, "tgt": ADAM, "dead": ADAM},
               edges=[("v0", "tgt"), ("v0", "dead")], targets={"tgt"})
     ml = rgame_to_mimicking_lts(g)
-    bis = max_bisimulation(ml.lts)
+    bis = brute_bisimulation(ml.lts)
     assert (ml.plain["v0"], ml.primed["v0"]) in bis
     losing = {v for v in g.vertices
               if not winning_area(g).is_winning(v)}
@@ -288,7 +293,7 @@ def test_forced_adam_vertex_is_winning():
               edges=[("v1", "tgt")], targets={"tgt"})
     ml = rgame_to_mimicking_lts(g)
     assert (ml.plain["v1"], ml.primed["v1"]) not in max_simulation(ml.lts)
-    assert sim_rank(ml.lts, ml.plain["v1"], ml.primed["v1"]) == 3
+    assert mimicking_rank(ml, "v1") == 3
 
 
 def test_colliding_vertex_names_rejected():
@@ -391,7 +396,7 @@ def test_net_moves_match_the_construction_table():
     for _ in range(20):
         g = dedup_rules(random_socnrgame(rng))
         net = socnrgame_to_socn(g)
-        oracle = config_oracle(net)
+        oracle = functools.partial(successors, net)
         expected = expected_net_successors(g, 30)
         for cfg, want in expected.items():
             assert set(oracle(cfg)) == want, (g, cfg)
@@ -429,7 +434,7 @@ def test_game_verdicts_transfer_to_the_net():
     assert not winning_area(expand_region(g, 25)).is_winning(("q", 4))
 
     net = socnrgame_to_socn(g)
-    oracle = config_oracle(net)
+    oracle = functools.partial(successors, net)
     rank = wa.rank(("q", 5))
     hit = bounded_attacker_search(
         oracle, oracle, (Config("q", 5), Config("q'", 5)), 2 * rank + 2)

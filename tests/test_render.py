@@ -1,11 +1,13 @@
 import os
 
+import numpy as np
 import pytest
 
-from ocn_gamelab import (RenderError, RenderSpec, ResourceGuardError, Rule, Socn,
-                         classify_and_fit, color_planes, fit_summary,
+from ocn_gamelab import (PlaneColoring, RenderError, RenderSpec, ResourceGuardError, Rule,
+                         Socn, classify_and_fit, color_planes, fit_summary,
                          frontier, rank_matrix, render_all, render_plane)
 from ocn_gamelab.ocnsim import DEFAULT_CELL_BUDGET
+from ocn_gamelab.render import SVG_CELLS
 
 from oracles import parse_pgm, time_limit
 
@@ -60,6 +62,26 @@ def test_oversized_pgm_is_refused_before_it_is_built(tmp_path):
     assert os.listdir(tmp_path / "imgs") == []
     # The cell count, not the pixel count, sizes an SVG.
     assert render_plane(col, RenderSpec(format="svg", cell_size=10 ** 5)).startswith(b"<svg")
+
+
+def test_oversized_svg_is_refused_before_it_is_built():
+    # Thresholds only: a read of the white ranks would raise NetError.
+    side = 708  # the first square past the SVG cell bound
+    assert SVG_CELLS == 500_000 and (side - 1) ** 2 <= SVG_CELLS < side ** 2
+    for r in (side, 4000):
+        col = PlaneColoring("s", "s", np.zeros(r, dtype=np.int64), r, 1, 0)
+        with time_limit(1.0), pytest.raises(
+                ResourceGuardError, match=f"SVG image needs {r}x{r} cells"):
+            render_plane(col, RenderSpec(format="svg"))
+
+
+def test_images_read_black_cells_from_the_thresholds():
+    # A staircase with rows of 0, 1 and 3 black cells, built by hand.
+    col = PlaneColoring("p", "q", np.array([0, 1, 2 ** 62]), 3, 1, 0)
+    assert render_plane(col, RenderSpec()) == b"P2\n3 3\n1\n0 0 0\n0 1 1\n1 1 1\n"
+    svg = render_plane(col, RenderSpec(format="svg", show_frontier=False)).decode()
+    fills = [line.split('fill="')[1][:7] for line in svg.splitlines() if "<rect" in line]
+    assert fills == ["#000000"] * 3 + ["#000000", "#ffffff", "#ffffff"] + ["#ffffff"] * 3
 
 
 def test_svg_structure_and_overlays():
