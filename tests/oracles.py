@@ -5,7 +5,8 @@ explicit pair sets, memoized recursion, literal machine stepping.  The
 package must agree with these on small instances; none of this code
 shares logic with the implementation under test.  The vector-travel
 walk checks the step lemma on colorings the package computed; it only
-reads their white ranks.
+reads their white ranks.  The dense threshold rounds re-evaluate every
+rule cell each round, the reference for the package's semi-naive ones.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, EcgA
                          EgspAnswer, InvariantError, Lts, NetError, PeriodAnswer,
                          PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
                          head_symbol, successors, winning_area)
+from ocn_gamelab.ocnsim import _BLACK
 
 # ---------------------------------------------------------------------------
 # Relation oracles
@@ -152,6 +154,75 @@ def grid_color_planes(net: Socn, rank_bound: int, view: int) -> dict:
         for key, fresh in newly.items():
             white[key][fresh] = r
     return white
+
+
+# ---------------------------------------------------------------------------
+# Dense threshold rounds
+
+
+def reference_threshold_rounds(net: Socn, pairs: list, rows: np.ndarray, low: int = 0):
+    """Yield the threshold arrays w_1, w_2, ... of ``pairs`` on ``rows``.
+
+    ``w_r[i, j]`` is the least m white at rank <= r in plane ``pairs[i]``
+    and row ``rows[j]`` (sorted counters), or ``_BLACK`` when the row has
+    none.  Round r takes, per pair, the min over attacker rules of the max
+    over same-action responses of w_{r-1}(target)(n + dd) - da, floored
+    at -da so the rule is enabled.  A read below ``low`` means the
+    response is disabled; a read of a counter outside ``rows`` counts as
+    black, the conservative direction.  ``pairs`` must be closed under
+    same-action rule pairs.  Stops once a round changes nothing.
+    """
+    index = {pair: i for i, pair in enumerate(pairs)}
+    size = len(pairs) * len(rows)
+    outside, disabled = size, size + 1
+    # Flat tables: one entry per response of each attacker rule, one
+    # attacker rule per slice of entries, one pair per slice of rules.
+    # An attacker rule with no response reads a disabled entry; a pair
+    # with no attacker rule gets one whose floor is black.
+    targets, dds, das, floors, rule_starts, pair_starts = [], [], [], [], [], []
+    for p, q in pairs:
+        pair_starts.append(len(floors))
+        attacker = net.rules_from(p)
+        for ra in attacker:
+            rule_starts.append(len(targets))
+            floors.append(max(0, -ra.delta))
+            responses = [(index[(ra.to, rd.to)], rd.delta)
+                         for rd in net.rules_from(q) if rd.action == ra.action]
+            for t, dd in responses or [(-1, 0)]:
+                targets.append(t)
+                dds.append(dd)
+                das.append(ra.delta)
+        if not attacker:
+            rule_starts.append(len(targets))
+            floors.append(_BLACK)
+            targets.append(-1)
+            dds.append(0)
+            das.append(0)
+    targets = np.array(targets)[:, None]
+    reads = rows + np.array(dds)[:, None]
+    pos = np.searchsorted(rows, reads)
+    gather = np.where(rows.take(pos, mode="clip") == reads,
+                      targets * len(rows) + pos, outside)
+    gather[(reads < low) | (targets < 0)] = disabled
+    del reads, pos  # the generator would keep them alive for every round
+    das = np.array(das)[:, None]
+    floors = np.array(floors)[:, None]
+    flat = np.empty(size + 2, dtype=np.int64)
+    flat[outside], flat[disabled] = _BLACK, -_BLACK
+    w = np.full((len(pairs), len(rows)), _BLACK)
+    while True:
+        flat[:size] = w.ravel()
+        vals = flat.take(gather)
+        vals -= das
+        need = np.maximum.reduceat(vals, rule_starts, axis=0)
+        np.maximum(need, floors, out=need)
+        nxt = np.minimum.reduceat(need, pair_starts, axis=0)
+        # Thresholds read off black stay near _BLACK; finite ones are small.
+        nxt[nxt >= _BLACK // 2] = _BLACK
+        if np.array_equal(nxt, w):
+            return
+        yield nxt
+        w = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,13 +14,15 @@ from ocn_gamelab import (INF, BeltCertificate, Config, InvariantError,
                          certify_colorings, classify_and_fit, color_planes,
                          decide_sim, detect_belt_period, frontier,
                          successors, verify_certificate_explain)
-from ocn_gamelab.ocnsim import _assert_interior_monotone, _query_rank
+from ocn_gamelab import ocnsim
+from ocn_gamelab.ocnsim import (_BLACK, _assert_interior_monotone, _query_rank,
+                                _reachable_offsets, _threshold_rounds)
 
 import numpy as np
 
 from oracles import (big_delta_certificate, canonical_unary_nets, grid_color_planes,
                      prime_period_certificate, random_succinct_net, random_unary_net,
-                     time_limit, trace_vector_travel)
+                     reference_threshold_rounds, time_limit, trace_vector_travel)
 
 
 def drain_net():
@@ -436,3 +439,54 @@ def test_query_rank_counts_response_entries_against_the_budget():
     assert _query_rank(net, "s", 5, "s", 5, 1, 1000) is None
     with pytest.raises(ResourceGuardError, match="3 rows, 400 response entries"):
         _query_rank(net, "s", 5, "s", 5, 8_000_000, 1000)
+
+
+def assert_rounds_match_reference(net, rows, low):
+    pairs = [(p, q) for p in net.states for q in net.states]
+    prev = np.full((len(pairs), len(rows)), _BLACK)
+    got_rounds = _threshold_rounds(net, pairs, rows, low)
+    want_rounds = reference_threshold_rounds(net, pairs, rows, low)
+    for r, (got, want) in enumerate(itertools.zip_longest(got_rounds, want_rounds), 1):
+        assert got is not None and want is not None, (net.rules, list(rows), low, r)
+        w, changed, old = got
+        assert np.array_equal(w, want), (net.rules, list(rows), low, r)
+        assert sorted(changed) == np.flatnonzero(want != prev).tolist(), r
+        assert list(old) == prev.ravel()[changed].tolist(), r
+        prev = want
+
+
+def test_rounds_match_the_dense_reference(monkeypatch):
+    # Round 1 of every kernel is dense; later rounds pick either kind.
+    kinds = {"__init__": 0, "dense_round": 0, "sparse_round": 0}
+    for kind in kinds:
+        def counted(self, *args, kind=kind, run=getattr(ocnsim._RuleCells, kind)):
+            kinds[kind] += 1
+            return run(self, *args)
+        monkeypatch.setattr(ocnsim._RuleCells, kind, counted)
+    for net in canonical_unary_nets(2, 3):
+        assert_rounds_match_reference(net, np.arange(8 + 16 * net.max_delta), 0)
+    rng = random.Random(2323)
+    for _ in range(200):
+        net = random_succinct_net(rng)
+        view = rng.randint(1, 10)
+        assert_rounds_match_reference(
+            net, np.arange(view + rng.randint(1, 3 * view) * net.max_delta), 0)
+    # The offset row sets of the refutation: counters reachable from n,
+    # as offsets from n, with reads below -n disabled.
+    for _ in range(200):
+        net = random_succinct_net(rng) if rng.random() < 0.5 else random_unary_net(rng)
+        n = rng.randint(0, 12)
+        deltas = {rule.delta for rule in net.rules}
+        rows = _reachable_offsets(deltas, n, rng.randint(0, 12), 10 ** 6)
+        assert_rounds_match_reference(net, rows, -n)
+    assert kinds["dense_round"] > kinds["__init__"] and kinds["sparse_round"] > 0, kinds
+
+
+def test_deep_refutations_answer_in_time():
+    # Ranks 2000 to 8000: a round re-evaluates only the few rule cells
+    # that read a changed threshold, so the refutation stays far below
+    # quadratic time in the rank.
+    for m in (1000, 2000, 4000):
+        with time_limit(1.0):
+            decision = decide_sim(drain_net(), "p", m, "q", 2 * m - 1)
+        assert (decision.kind, decision.rank) == ("no", 2 * m)
