@@ -2,13 +2,18 @@
 
 Each document is a JSON object with a ``kind`` tag and a fixed field
 set; unknown fields and type mismatches are rejected with a path
-diagnostic like ``$.rules[3].delta: expected integer``.  Serialization
-is canonical: sorted keys, compact separators, entry lists in a fixed
-order, one trailing newline.  Counter games (``countdown`` and
-``socn-rgame``), which run to millions of rules, are written straight
-from their rule index tables with each state name escaped once, in the
-same bytes as ``json.dumps`` of the sorted-key payload; every other kind
-goes through ``json.dumps``.  Certificates embed the SHA-256 of their
+diagnostic like ``$.rules[3].delta: expected integer``.  Counter games
+(``countdown`` and ``socn-rgame``), which run to millions of rules, and
+sequence descriptions are parsed in one bulk pass per list, straight
+into the tables their objects keep: record shapes and types are checked
+a whole list at a time and rule names resolved through the state index.
+A list that pass does not accept goes through the per-record checks,
+which run only to name the first fault.  Serialization is canonical:
+sorted keys, compact separators, entry lists in a fixed order, one
+trailing newline.  Counter games are written straight from their rule
+index tables with each state name escaped once, in the same bytes as
+``json.dumps`` of the sorted-key payload; every other kind goes through
+``json.dumps``.  Certificates embed the SHA-256 of their
 net's canonical serialization so a stale certificate cannot be
 verified against the wrong net.
 """
@@ -18,12 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+
+import numpy as np
 
 from .countdown import CountdownGame
 from .lts import Lts
 from .ocnsim import BeltCertificate, PlaneBelt
-from .rgame import ADAM, EVE, RGame, SocnRGame
+from .rgame import ADAM, EVE, RGame, SocnRGame, _delta_table
 from .seqdesc import SeqDescription, TuringMachine
 from .socn import Rule, Socn
 
@@ -161,37 +170,88 @@ def _counter_rule(r, i, countdown) -> tuple:
             _str(r["to"], ("$.rules[{}].to", i)))
 
 
+_NAME, _OWNER = itemgetter("name"), itemgetter("owner")
+_FROM, _DELTA, _TO = itemgetter("from"), itemgetter("delta"), itemgetter("to")
+
+
+def _counter_tables(obj, countdown: bool):
+    """The arguments of ``from_tables`` for a counter-game document,
+    checked a whole list at a time, or None when some record is not
+    plain: not of its exact shape and types, an unknown name, or a
+    countdown delta >= 0."""
+    states, rules, target = obj["states"], obj["rules"], obj["target"]
+    if type(states) is not list or type(rules) is not list:
+        return None
+    # Of the JSON values only an object takes a string key, so the key
+    # lookups below also check that every record is an object, and the
+    # lengths that it has no other key.
+    try:
+        if not (set(map(len, states)) <= {2} and set(map(len, rules)) <= {3}):
+            return None
+        names = list(map(_NAME, states))
+        owners = list(map(_OWNER, states))
+        if not (set(map(type, names)) <= {str} and set(owners) <= {EVE, ADAM}):
+            return None
+        # Duplicate names fail the first check of from_tables, as they
+        # fail the constructor's.  Only a string can equal a name, so a
+        # lookup that succeeds has also checked the type.
+        index = dict(zip(names, range(len(names))))
+        if target not in index:
+            return None
+        src = np.fromiter(map(index.__getitem__, map(_FROM, rules)), np.int32, len(rules))
+        tgt = np.fromiter(map(index.__getitem__, map(_TO, rules)), np.int32, len(rules))
+        deltas = list(map(_DELTA, rules))
+    except (KeyError, TypeError):  # a missing key, a non-object, an unknown name
+        return None
+    if not set(map(type, deltas)) <= {int}:
+        return None
+    deltas = _delta_table(deltas, True)
+    if countdown and len(deltas) and deltas.max() >= 0:
+        return None
+    eve = set(compress(names, map(EVE.__eq__, owners)))
+    return names, eve, src, deltas, tgt, target
+
+
 def _parse_counter_game(obj, kind):
-    # Games run to millions of rules, so each record is first matched
-    # against its plain shape inline; anything else goes through the
-    # checks above, which raise with its path.
+    # Games run to millions of rules, so the lists are checked and turned
+    # into index tables in bulk; when that pass does not accept them, the
+    # per-record checks run from the start and raise at the first fault.
     _obj(obj, "$", ("kind", "states", "rules", "target"))
-    states = []
-    eve = set()
-    for i, s in enumerate(_list(obj["states"], "$.states")):
-        if type(s) is dict and len(s) == 2:
-            name, owner = s.get("name"), s.get("owner")
-            if type(name) is not str or owner not in (EVE, ADAM):
-                name, owner = _counter_state(s, i)
-        else:
-            name, owner = _counter_state(s, i)
-        states.append(name)
-        if owner == EVE:
-            eve.add(name)
     countdown = kind == "countdown"
-    rules = []
-    for i, r in enumerate(_list(obj["rules"], "$.rules")):
-        if type(r) is dict and len(r) == 3:
-            rule = (r.get("from"), r.get("delta"), r.get("to"))
-            if (type(rule[0]) is not str or type(rule[1]) is not int
-                    or type(rule[2]) is not str or countdown and rule[1] >= 0):
-                rule = _counter_rule(r, i, countdown)
-        else:
-            rule = _counter_rule(r, i, countdown)
-        rules.append(rule)
-    target = _str(obj["target"], "$.target")
     cls = CountdownGame if countdown else SocnRGame
-    return cls(states=states, eve=eve, rules=rules, target=target)
+    tables = _counter_tables(obj, countdown)
+    if tables is not None:
+        return cls.from_tables(*tables)
+    states = [_counter_state(s, i) for i, s in enumerate(_list(obj["states"], "$.states"))]
+    rules = [_counter_rule(r, i, countdown)
+             for i, r in enumerate(_list(obj["rules"], "$.rules"))]
+    return cls(states=[name for name, _ in states],
+               eve={name for name, owner in states if owner == EVE},
+               rules=rules, target=_str(obj["target"], "$.target"))
+
+
+_TRIPLE, _OUT = itemgetter("triple"), itemgetter("out")
+
+
+def _seqdesc_rules(records):
+    """The rule dict of a seqdesc document, checked a whole list at a
+    time, or None when some record is not plain: not of its exact shape
+    and types, or a duplicate triple."""
+    if type(records) is not list:
+        return None
+    try:  # as in _counter_tables
+        if not set(map(len, records)) <= {2}:
+            return None
+        triples = list(map(_TRIPLE, records))
+        outs = list(map(_OUT, records))
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, triples)) <= {list} and set(map(len, triples)) <= {3}
+            and set(map(type, chain.from_iterable(triples))) <= {str}
+            and set(map(type, outs)) <= {str}):
+        return None
+    rules = dict(zip(map(tuple, triples), outs))
+    return rules if len(rules) == len(records) else None
 
 
 def _parse_seqdesc(obj) -> SeqDescription:
@@ -199,17 +259,19 @@ def _parse_seqdesc(obj) -> SeqDescription:
     m = _int(obj["m"], "$.m")
     if m < 3:
         raise DocumentError("$.m: m >= 3 required")
-    rules = {}
-    for i, r in enumerate(_list(obj["rules"], "$.rules")):
-        _obj(r, ("$.rules[{}]", i), ("triple", "out"))
-        triple = _list(r["triple"], ("$.rules[{}].triple", i))
-        if len(triple) != 3:
-            raise DocumentError(f"$.rules[{i}].triple: expected exactly 3 symbols")
-        key = tuple(_str(t, ("$.rules[{}].triple[{}]", i, j))
-                    for j, t in enumerate(triple))
-        if key in rules:
-            raise DocumentError(f"$.rules[{i}].triple: duplicate rule for {key}")
-        rules[key] = _str(r["out"], ("$.rules[{}].out", i))
+    rules = _seqdesc_rules(obj["rules"])
+    if rules is None:
+        rules = {}
+        for i, r in enumerate(_list(obj["rules"], "$.rules")):
+            _obj(r, ("$.rules[{}]", i), ("triple", "out"))
+            triple = _list(r["triple"], ("$.rules[{}].triple", i))
+            if len(triple) != 3:
+                raise DocumentError(f"$.rules[{i}].triple: expected exactly 3 symbols")
+            key = tuple(_str(t, ("$.rules[{}].triple[{}]", i, j))
+                        for j, t in enumerate(triple))
+            if key in rules:
+                raise DocumentError(f"$.rules[{i}].triple: duplicate rule for {key}")
+            rules[key] = _str(r["out"], ("$.rules[{}].out", i))
     return SeqDescription(alphabet=_str_list(obj["alphabet"], "$.alphabet"),
                           hash_symbol=_str(obj["hash"], "$.hash"),
                           blank=_str(obj["blank"], "$.blank"),

@@ -642,8 +642,12 @@ def _validate_certificate(net: Socn, cert: BeltCertificate) -> None:
             if not isinstance(v, int) or v < -1:
                 raise MalformedCertificateError(f"plane {plane}: bad frontier value {v!r}")
         # Dominance closure: the extended frontier must be nondecreasing,
-        # checked across the seam into the periodic regime.
-        horizon = h + (belt.period[1] if belt.kind == "SF" else 1)
+        # checked across the seam into the periodic regime.  An HF
+        # frontier is infinite from inf_from on, so its walk stops there.
+        if belt.kind == "HF":
+            horizon = belt.inf_from + 1
+        else:
+            horizon = h + (belt.period[1] if belt.kind == "SF" else 1)
         prev = cert.frontier_at(plane, 0)
         for n in range(1, horizon + 1):
             cur = cert.frontier_at(plane, n)
@@ -845,17 +849,18 @@ def certify_colorings(net: Socn, colorings: dict) -> SimDecision:
     return SimDecision("yes", certificate=cert, diagnostics=diagnostics)
 
 
-def _reachable_offsets(deltas: set, n: int, moves: int, limit: int) -> np.ndarray:
-    """Sorted offsets d with n + d reachable from n by at most ``moves``
-    steps of the given deltas, never going below 0.  Stops past
-    ``limit`` offsets: more than ``limit`` returned means too many."""
+def _reachable_offsets(deltas: set, n: int, limit: int):
+    """Yield, for moves = 0, 1, 2, ..., the offsets d with n + d
+    reachable from n by at most ``moves`` steps of the given deltas,
+    never going below 0: one set, grown in place by the offsets first
+    reached at each step.  Ends once a step reaches nothing new or the
+    set holds more than ``limit`` offsets, which means too many."""
     seen, fresh = {0}, {0}
-    for _ in range(moves):
+    while fresh and len(seen) <= limit:
+        yield seen
         fresh = {x + d for x in fresh for d in deltas if n + x + d >= 0} - seen
-        if not fresh or len(seen) > limit:
-            break
         seen |= fresh
-    return np.array(sorted(seen))
+    yield seen
 
 
 def _query_rank(net: Socn, p: str, m: int, q: str, n: int, budget: int,
@@ -865,15 +870,15 @@ def _query_rank(net: Socn, p: str, m: int, q: str, n: int, budget: int,
     Runs :func:`_threshold_rounds` on the pairs reachable from (p, q)
     through same-action rule pairs, deepening iteratively: stage b runs b
     rounds over the defender counters reachable from n in at most b - 1
-    moves, as offsets from n, for b = 1, 2, 4, ... up to ``budget``.  Row
-    n at round r only reads rows within b - r moves, so every read that
-    decides the answer stays inside the row set and stage b answers
-    every rank up to b exactly.  The rank is the first round whose
-    threshold in row n is at most m.  Rows, rounds and guards thus grow
-    with the rank reached, not with ``budget``.  Raises
-    ResourceGuardError when a stage's counters pass 64 bits or its rows
-    times response entries (the size of its gather table) exceed
-    ``cell_budget``.  budget < 1 always returns None.
+    moves, as offsets from n, for b = 1, 2, 4, ... up to ``budget``; each
+    stage grows the offsets of the last.  Row n at round r only reads rows
+    within b - r moves, so every read that decides the answer stays
+    inside the row set and stage b answers every rank up to b exactly.
+    The rank is the first round whose threshold in row n is at most m.
+    Rows, rounds and guards thus grow with the rank reached, not with
+    ``budget``.  Raises ResourceGuardError when a stage's counters pass
+    64 bits or its rows times response entries (the size of its gather
+    table) exceed ``cell_budget``.  budget < 1 always returns None.
     """
     if budget < 1:
         return None
@@ -893,14 +898,18 @@ def _query_rank(net: Socn, p: str, m: int, q: str, n: int, budget: int,
                     seen.add((ra.to, rd.to))
                     pairs.append((ra.to, rd.to))
     m = min(m, _BLACK - 1)  # a black row stays black for every m
-    stage = 0
+    offsets = _reachable_offsets(deltas, n, cell_budget // entries)
+    stage = taken = 0
     while stage < budget:
         stage = min(2 * stage or 1, budget)
         # Offsets and finite thresholds stay below stage * Dmax.
         if stage * dmax >= _BLACK // 2:
             raise ResourceGuardError(
                 f"refutation counters exceed 64 bits ({stage} rounds, largest delta {dmax})")
-        rows = _reachable_offsets(deltas, n, stage - 1, cell_budget // entries)
+        for reached in itertools.islice(offsets, stage - taken):  # stage - 1 moves
+            pass
+        taken = stage
+        rows = np.array(sorted(reached))
         if len(rows) * entries > cell_budget:
             raise ResourceGuardError(
                 f"refutation needs at least {len(rows) * entries} cells ({len(rows)} "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import eq
 
 from .cycle import least_repeat, orbit
@@ -61,6 +61,15 @@ class SeqDescription:
         for s in (self.hash_symbol, self.blank, self.default):
             if s not in symbols:
                 raise SeqError(f"distinguished symbol {s!r} not in alphabet")
+        try:
+            plain = (set(map(len, self.rules)) <= {3}
+                     and symbols.issuperset(chain.from_iterable(self.rules))
+                     and symbols.issuperset(self.rules.values()))
+        except TypeError:  # a key without a length, or an unhashable symbol
+            plain = False
+        if plain:
+            return
+        # Name the first offending rule.
         for triple, out in self.rules.items():
             if len(triple) != 3 or any(t not in symbols for t in triple):
                 raise SeqError(f"rule key {triple!r} is not an alphabet triple")

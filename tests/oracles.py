@@ -7,6 +7,9 @@ shares logic with the implementation under test.  The vector-travel
 walk checks the step lemma on colorings the package computed; it only
 reads their white ranks.  The dense threshold rounds re-evaluate every
 rule cell each round, the reference for the package's semi-naive ones.
+The record-by-record parsers of counter-game and sequence-description
+documents are the references for the package's bulk ones; they share
+the field checks of ``documents`` that word each fault.
 """
 
 import contextlib
@@ -17,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, EcgAnswer,
-                         EgspAnswer, InvariantError, Lts, NetError, PeriodAnswer,
-                         PlaneBelt, RGame, Rule, SeqDescription, Socn, SocnRGame,
+from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, DocumentError,
+                         EcgAnswer, EgspAnswer, InvariantError, Lts, NetError, PeriodAnswer,
+                         PlaneBelt, RGame, Rule, SeqDescription, SeqError, Socn, SocnRGame,
                          head_symbol, successors, winning_area)
+from ocn_gamelab.documents import (_counter_rule, _counter_state, _int, _list, _obj, _str,
+                                   _str_list)
 from ocn_gamelab.ocnsim import _BLACK
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,20 @@ def grid_color_planes(net: Socn, rank_bound: int, view: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Dense threshold rounds
+
+
+def reference_reachable_offsets(deltas: set, n: int, moves: int, limit: int) -> np.ndarray:
+    """Sorted offsets d with n + d reachable from n by at most ``moves``
+    steps of the given deltas, never going below 0, recomputed from
+    scratch.  Stops past ``limit`` offsets: more than ``limit`` returned
+    means too many."""
+    seen, fresh = {0}, {0}
+    for _ in range(moves):
+        fresh = {x + d for x in fresh for d in deltas if n + x + d >= 0} - seen
+        if not fresh or len(seen) > limit:
+            break
+        seen |= fresh
+    return np.array(sorted(seen))
 
 
 def reference_threshold_rounds(net: Socn, pairs: list, rows: np.ndarray, low: int = 0):
@@ -508,6 +527,91 @@ def reference_counter_game_bytes(game: SocnRGame, kind: str) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Document parser oracles: the record-by-record parsers the bulk ones replaced
+
+
+def reference_parse_counter_game(obj, kind):
+    """A counter-game document parsed record by record, as the parser
+    did before it checked whole lists: the reference for its values and
+    for the message of its first fault."""
+    _obj(obj, "$", ("kind", "states", "rules", "target"))
+    states = []
+    eve = set()
+    for i, s in enumerate(_list(obj["states"], "$.states")):
+        if type(s) is dict and len(s) == 2:
+            name, owner = s.get("name"), s.get("owner")
+            if type(name) is not str or owner not in (EVE, ADAM):
+                name, owner = _counter_state(s, i)
+        else:
+            name, owner = _counter_state(s, i)
+        states.append(name)
+        if owner == EVE:
+            eve.add(name)
+    countdown = kind == "countdown"
+    rules = []
+    for i, r in enumerate(_list(obj["rules"], "$.rules")):
+        if type(r) is dict and len(r) == 3:
+            rule = (r.get("from"), r.get("delta"), r.get("to"))
+            if (type(rule[0]) is not str or type(rule[1]) is not int
+                    or type(rule[2]) is not str or countdown and rule[1] >= 0):
+                rule = _counter_rule(r, i, countdown)
+        else:
+            rule = _counter_rule(r, i, countdown)
+        rules.append(rule)
+    target = _str(obj["target"], "$.target")
+    cls = CountdownGame if countdown else SocnRGame
+    return cls(states=states, eve=eve, rules=rules, target=target)
+
+
+def reference_parse_seqdesc(obj) -> SeqDescription:
+    """A seqdesc document parsed record by record, as for counter games."""
+    _obj(obj, "$", ("kind", "alphabet", "hash", "blank", "m", "rules", "default"))
+    m = _int(obj["m"], "$.m")
+    if m < 3:
+        raise DocumentError("$.m: m >= 3 required")
+    rules = {}
+    for i, r in enumerate(_list(obj["rules"], "$.rules")):
+        _obj(r, ("$.rules[{}]", i), ("triple", "out"))
+        triple = _list(r["triple"], ("$.rules[{}].triple", i))
+        if len(triple) != 3:
+            raise DocumentError(f"$.rules[{i}].triple: expected exactly 3 symbols")
+        key = tuple(_str(t, ("$.rules[{}].triple[{}]", i, j))
+                    for j, t in enumerate(triple))
+        if key in rules:
+            raise DocumentError(f"$.rules[{i}].triple: duplicate rule for {key}")
+        rules[key] = _str(r["out"], ("$.rules[{}].out", i))
+    d = SeqDescription.__new__(SeqDescription)
+    vars(d).update(alphabet=_str_list(obj["alphabet"], "$.alphabet"),
+                   hash_symbol=_str(obj["hash"], "$.hash"),
+                   blank=_str(obj["blank"], "$.blank"),
+                   rules=rules,
+                   default=_str(obj["default"], "$.default"),
+                   m=m)
+    reference_check_seqdesc(d)
+    return d
+
+
+def reference_check_seqdesc(d: SeqDescription) -> None:
+    """The checks of the SeqDescription constructor with every rule
+    walked one by one: raises the SeqError the constructor raises."""
+    symbols = set(d.alphabet)
+    if len(symbols) != len(d.alphabet):
+        raise SeqError("duplicate symbols in alphabet")
+    if d.m < 3:
+        raise SeqError("initial length m must be at least 3")
+    if d.hash_symbol == d.blank:
+        raise SeqError("hash and blank must differ")
+    for s in (d.hash_symbol, d.blank, d.default):
+        if s not in symbols:
+            raise SeqError(f"distinguished symbol {s!r} not in alphabet")
+    for triple, out in d.rules.items():
+        if len(triple) != 3 or any(t not in symbols for t in triple):
+            raise SeqError(f"rule key {triple!r} is not an alphabet triple")
+        if out not in symbols:
+            raise SeqError(f"rule value {out!r} not in alphabet")
+
+
+# ---------------------------------------------------------------------------
 # Sequence description oracles: the window tables the cycle finder replaced
 
 
@@ -835,6 +939,155 @@ def random_seqdesc(rng, max_extra: int = 2, m_lo: int = 3,
     return SeqDescription(alphabet, "#", " ", rules, default, m)
 
 
+# Values a damaged document puts where a field belongs.
+JUNK = [None, True, False, 0, 1, -1, 1.5, "", "x", "q0", [], ["q0"], {}, {"name": "q0"},
+        2 ** 63, -2 ** 63, 2 ** 70]
+
+
+def _lists(doc: dict, key: str) -> tuple:
+    """The list under ``key`` (empty when an earlier fault removed it or
+    made it something else) and its object records."""
+    items = doc.get(key)
+    items = items if isinstance(items, list) else []
+    return items, [r for r in items if isinstance(r, dict)]
+
+
+def _damage_counter_game(rng, doc: dict) -> None:
+    where = rng.choice(["states", "rules"])
+    items, records = _lists(doc, where)
+    (_, states), (_, rules) = _lists(doc, "states"), _lists(doc, "rules")
+    fault = rng.randrange(13)
+    if fault == 0 and records:  # a missing field
+        record = rng.choice(records)
+        if record:
+            del record[rng.choice(sorted(record))]
+    elif fault == 1:  # an extra field
+        target = rng.choice(records) if records and rng.random() < 0.8 else doc
+        target[rng.choice(["x", "kind2", "owner", "delta"])] = rng.choice(JUNK)
+    elif fault == 2 and records:  # a retyped field
+        record = rng.choice(records)
+        if record:
+            record[rng.choice(sorted(record))] = rng.choice(JUNK)
+    elif fault == 3 and rules:  # a bool delta, or one beyond int64
+        rng.choice(rules)["delta"] = rng.choice([True, False, 2 ** 63, -2 ** 63 - 1,
+                                                 -2 ** 70, 2 ** 70, -2 ** 63])
+    elif fault == 4 and rules:  # a delta >= 0
+        rng.choice(rules)["delta"] = rng.choice([0, 1, 7])
+    elif fault == 5 and states:  # a duplicate state
+        copy = dict(rng.choice(states), owner=rng.choice([EVE, ADAM]))
+        doc["states"].insert(rng.randrange(len(doc["states"]) + 1), copy)
+    elif fault == 6:  # an unknown from, to or target
+        if rules and rng.random() < 0.7:
+            rng.choice(rules)[rng.choice(["from", "to"])] = "nowhere"
+        else:
+            doc["target"] = rng.choice(["nowhere", 3, None])
+    elif fault == 7 and items:  # a record that is not an object
+        items[rng.randrange(len(items))] = rng.choice([["q0", -1, "q0"], "q0", 3, None])
+    elif fault == 8:  # a list that is not an array
+        doc[where] = rng.choice([{}, "q0", None, 0])
+    elif fault == 9 and states:  # a bad owner
+        rng.choice(states)["owner"] = rng.choice(["X", "e", "", 1, None, [EVE]])
+    elif fault == 10:  # an empty list
+        doc[where] = []
+    elif fault == 11:  # a missing or retyped top-level field
+        key = rng.choice(["states", "rules", "target"])
+        if rng.random() < 0.5:
+            doc.pop(key, None)
+        else:
+            doc[key] = rng.choice(JUNK)
+    elif fault == 12 and states:  # a name retyped everywhere it is used
+        old, new = rng.choice(states).get("name"), rng.choice([0, 1, None, True, 1.5])
+        for record in states + rules + [doc]:
+            for key in ("name", "from", "to", "target"):
+                if key in record and record[key] == old:
+                    record[key] = new
+
+
+def _damage_seqdesc(rng, doc: dict) -> None:
+    items, rules = _lists(doc, "rules")
+    triples = [r["triple"] for r in rules if isinstance(r.get("triple"), list)]
+    alphabet = doc.get("alphabet")
+    symbols = [a for a in alphabet if isinstance(a, str)] if isinstance(alphabet, list) else []
+    symbols = symbols or ["#"]
+    fault = rng.randrange(12)
+    if fault == 0 and triples:  # a triple of the wrong length
+        triple = rng.choice(triples)
+        if rng.random() < 0.5 or not triple:
+            triple.append(rng.choice(symbols))
+        else:
+            triple.pop()
+    elif fault == 1 and triples:  # a triple with a non-string entry
+        triple = rng.choice(triples)
+        if triple:
+            triple[rng.randrange(len(triple))] = rng.choice(JUNK[:13])
+    elif fault == 2 and rules:  # a triple that is not an array
+        rng.choice(rules)["triple"] = rng.choice(["# A", "###", None, {"0": "#"}, 3])
+    elif fault == 3 and triples:  # a duplicate triple
+        copy = {"triple": list(rng.choice(triples)), "out": rng.choice(symbols)}
+        items.insert(rng.randrange(len(items) + 1), copy)
+    elif fault == 4:  # a symbol outside the alphabet
+        if triples and rng.random() < 0.6:
+            if rng.random() < 0.5:
+                triple = rng.choice(triples)
+                if triple:
+                    triple[rng.randrange(len(triple))] = "Z"
+            else:
+                rng.choice(rules)["out"] = "Z"
+        else:
+            doc[rng.choice(["hash", "blank", "default"])] = "Z"
+    elif fault == 5 and rules:  # a missing, extra or retyped rule field
+        rule = rng.choice(rules)
+        choice = rng.randrange(3)
+        if choice == 0:
+            rule.pop(rng.choice(["triple", "out"]), None)
+        elif choice == 1:
+            rule[rng.choice(["x", "in"])] = "#"
+        else:
+            rule["out"] = rng.choice(JUNK)
+    elif fault == 6:  # a bad m
+        doc["m"] = rng.choice([0, 2, 3, -1, True, 3.0, "4", None, 2 ** 70])
+    elif fault == 7:  # a bad alphabet
+        if rng.random() < 0.5 and isinstance(alphabet, list):
+            alphabet.append(rng.choice(symbols))
+        else:
+            doc["alphabet"] = rng.choice([symbols + [3], "# ", None, []])
+    elif fault == 8:  # a missing or extra top-level field
+        if rng.random() < 0.5:
+            doc.pop(rng.choice(["alphabet", "hash", "blank", "m", "rules", "default"]), None)
+        else:
+            doc["extra"] = 1
+    elif fault == 9:  # hash equal to blank
+        doc["blank"] = doc.get("hash")
+    elif fault == 10 and items:  # a record that is not an object
+        items[rng.randrange(len(items))] = rng.choice([["#", "#", "#"], "#", None])
+    elif fault == 11:  # rules that are not an array, or none
+        doc["rules"] = rng.choice([{}, "#", None, []])
+
+
+def damaged_documents(rng, count: int):
+    """Yield ``count`` seeded (kind, document object) pairs, a third each
+    of countdown, socn-rgame and seqdesc, each damaged by up to three
+    faults (about one in four by none)."""
+    kinds = ("countdown", "socn-rgame", "seqdesc")
+    for i in range(count):
+        kind = kinds[i % 3]
+        if kind == "seqdesc":
+            d = random_seqdesc(rng)
+            doc = {"kind": kind, "alphabet": list(d.alphabet), "hash": d.hash_symbol,
+                   "blank": d.blank, "m": d.m, "default": d.default,
+                   "rules": [{"triple": list(k), "out": v} for k, v in d.rules.items()]}
+        else:
+            game = (random_countdown(rng, max_rules=30) if kind == "countdown"
+                    else random_socnrgame(rng, max_rules=30))
+            doc = json.loads(reference_counter_game_bytes(game, kind))
+        for _ in range(rng.choice([0, 1, 1, 1, 2, 2, 3]) if i % 10 else 0):
+            if kind == "seqdesc":
+                _damage_seqdesc(rng, doc)
+            else:
+                _damage_counter_game(rng, doc)
+        yield kind, doc
+
+
 def prime_period_certificate():
     """A 4-state net and a well-formed 60-row certificate for it whose 16
     SF planes have the prime periods 2..53.  Their lcm puts the
@@ -855,6 +1108,15 @@ def big_delta_certificate(delta: int = 10 ** 7):
     infinite rows' small-m check would visit about 2 * delta cells."""
     net = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", delta, "s"),))
     return net, BeltCertificate(1, {("s", "s"): PlaneBelt("HF", [], inf_from=0)})
+
+
+def tall_certificate(height: int = 10 ** 12):
+    """A 1-state net with the single rule s -a,-1-> s and a well-formed
+    certificate of ``height`` rows whose one plane is infinite from row
+    0 on.  Its dominance walk need not pass row 1; its verification
+    needs ``height`` + 1 rows."""
+    net = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", -1, "s"),))
+    return net, BeltCertificate(height, {("s", "s"): PlaneBelt("HF", [], inf_from=0)})
 
 
 @contextlib.contextmanager

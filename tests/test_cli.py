@@ -12,7 +12,7 @@ from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Invariant
 from ocn_gamelab.cli import main
 
 from oracles import (big_delta_certificate, prime_period_certificate, reference_find_period,
-                     time_limit)
+                     tall_certificate, time_limit)
 
 BLANK = " "
 
@@ -355,6 +355,20 @@ def test_sim_certify_guards_unbounded_verification(capsys, tmp_path):
 
 def test_sim_certify_guards_infinite_rows_of_big_deltas(capsys, tmp_path):
     net, cert = big_delta_certificate()
+    net_path = write_doc(tmp_path / "net.json", "socn", net)
+    cert_path = write_doc(tmp_path / "cert.json", "certificate",
+                          CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))
+    with time_limit(1.0):
+        code, out, err = run(capsys, "sim", "certify", "--net", net_path,
+                             "--cert", cert_path)
+    assert (code, out) == (4, "")
+    assert err.startswith("resource guard: verification needs ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_sim_certify_refuses_a_tall_hf_certificate(capsys, tmp_path):
+    # About 200 bytes: 10**12 rows, one plane infinite from row 0.
+    net, cert = tall_certificate()
     net_path = write_doc(tmp_path / "net.json", "socn", net)
     cert_path = write_doc(tmp_path / "cert.json", "certificate",
                           CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +12,10 @@ from ocn_gamelab import (ADAM, EVE, BeltCertificate, CertificateDoc,
                          PlaneBelt, RGame, Rule, SeqDescription, Socn,
                          SocnRGame, TuringMachine, net_sha256, parse_document,
                          serialize_document)
+from ocn_gamelab.rgame import RuleView
 
-from oracles import reference_counter_game_bytes
+from oracles import (damaged_documents, reference_counter_game_bytes,
+                     reference_parse_counter_game, reference_parse_seqdesc)
 
 
 def roundtrip(doc):
@@ -292,3 +296,63 @@ def test_counter_game_writer_keeps_exact_deltas():
     data = serialize_document(InputDocument("socn-rgame", srg))
     assert data == reference_counter_game_bytes(srg, "socn-rgame")
     assert b'"delta":true' in data and srg.rules[0][1] is True
+
+
+def snapshot(value):
+    """Everything a parsed value holds, arrays with their dtypes and
+    dicts in their order, in a form ``==`` compares exactly."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.tolist()
+    if isinstance(value, RuleView):
+        return tuple(map(snapshot, (value.states, value.src, value.delta, value.tgt)))
+    if isinstance(value, dict):
+        return [(k, type(v), snapshot(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [(type(v), snapshot(v)) for v in value]
+    if isinstance(value, (SocnRGame, SeqDescription)):
+        return type(value), snapshot(dict(sorted(vars(value).items())))
+    return value
+
+
+def parse_outcome(parse, data):
+    try:
+        value = parse(data)
+    except Exception as exc:  # every fault must be the reference's fault
+        return type(exc), str(exc)
+    if isinstance(value, SocnRGame) and value.rules.delta.dtype == object:
+        return "parsed beyond int64", snapshot(value)
+    return "parsed", snapshot(value)
+
+
+def reference_parse(data: bytes):
+    obj = json.loads(data)
+    if obj["kind"] == "seqdesc":
+        return reference_parse_seqdesc(obj)
+    return reference_parse_counter_game(obj, obj["kind"])
+
+
+def check_damaged_documents(seed: int, count: int) -> Counter:
+    """Parse ``count`` damaged documents both ways; returns how often
+    each outcome came up: "parsed" (or "parsed beyond int64" when the
+    deltas are kept as objects), or the fault's exception type and
+    message."""
+    seen = Counter()
+    for _, doc in damaged_documents(random.Random(seed), count):
+        data = json.dumps(doc).encode()
+        got = parse_outcome(lambda b: parse_document(b).value, data)
+        assert got == parse_outcome(reference_parse, data), data
+        seen[got[0] if isinstance(got[0], str) else f"{got[0].__name__} {got[1]}"] += 1
+    return seen
+
+
+def test_bulk_parsers_match_the_record_by_record_reference():
+    seen = check_damaged_documents(2424, 2400)
+    assert seen["parsed"] > 400 and seen["parsed beyond int64"] > 10, seen
+    for fault in ["DocumentError", "GameError", "SeqError", "duplicate states",
+                  "references unknown state", "is not a state", "must be negative",
+                  "delta: expected integer", "expected string", "expected object",
+                  "missing required field", "unknown field", "expected array",
+                  "owner must be", "expected exactly 3 symbols", "duplicate rule",
+                  "not an alphabet triple", "rule value", "distinguished symbol",
+                  "hash and blank must differ", "duplicate symbols", "m >= 3"]:
+        assert any(fault in outcome for outcome in seen), (fault, seen)

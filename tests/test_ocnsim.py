@@ -16,13 +16,14 @@ from ocn_gamelab import (INF, BeltCertificate, Config, InvariantError,
                          successors, verify_certificate_explain)
 from ocn_gamelab import ocnsim
 from ocn_gamelab.ocnsim import (_BLACK, _assert_interior_monotone, _query_rank,
-                                _reachable_offsets, _threshold_rounds)
+                                _threshold_rounds)
 
 import numpy as np
 
 from oracles import (big_delta_certificate, canonical_unary_nets, grid_color_planes,
                      prime_period_certificate, random_succinct_net, random_unary_net,
-                     reference_threshold_rounds, time_limit, trace_vector_travel)
+                     reference_reachable_offsets, reference_threshold_rounds,
+                     tall_certificate, time_limit, trace_vector_travel)
 
 
 def drain_net():
@@ -304,6 +305,12 @@ def test_infinite_row_cells_are_guarded():
         verify_certificate_explain(net, cert)
 
 
+def test_tall_hf_certificate_is_guarded_not_walked():
+    net, cert = tall_certificate()
+    with time_limit(1.0), pytest.raises(ResourceGuardError, match="verification needs"):
+        verify_certificate_explain(net, cert)
+
+
 def test_interior_monotone_on_random_nets():
     rng = random.Random(1999)
     for _ in range(25):
@@ -477,9 +484,55 @@ def test_rounds_match_the_dense_reference(monkeypatch):
         net = random_succinct_net(rng) if rng.random() < 0.5 else random_unary_net(rng)
         n = rng.randint(0, 12)
         deltas = {rule.delta for rule in net.rules}
-        rows = _reachable_offsets(deltas, n, rng.randint(0, 12), 10 ** 6)
+        rows = reference_reachable_offsets(deltas, n, rng.randint(0, 12), 10 ** 6)
         assert_rounds_match_reference(net, rows, -n)
     assert kinds["dense_round"] > kinds["__init__"] and kinds["sparse_round"] > 0, kinds
+
+
+def test_query_rank_rows_match_a_per_stage_recomputation(monkeypatch):
+    # Each stage grows the last stage's offsets; its rows, and those a
+    # guard refuses, must be the offsets recomputed from scratch for
+    # b - 1 moves, at every limit.
+    stages, run = [], ocnsim._threshold_rounds
+
+    def recorded(net, pairs, rows, low=0):
+        stages.append(rows)
+        return run(net, pairs, rows, low)
+    monkeypatch.setattr(ocnsim, "_threshold_rounds", recorded)
+    rng = random.Random(2424)
+    checked = capped = 0
+    for _ in range(300):
+        net = random_succinct_net(rng) if rng.random() < 0.5 else random_unary_net(rng)
+        p, q = rng.choice(net.states), rng.choice(net.states)
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        budget, cell_budget = rng.randint(1, 40), rng.choice([4, 30, 200, 10 ** 6])
+        pairs = [(p, q)]
+        for s, t in pairs:
+            for ra in net.rules_from(s):
+                for rd in net.rules_from(t):
+                    if rd.action == ra.action and (ra.to, rd.to) not in pairs:
+                        pairs.append((ra.to, rd.to))
+        responses = [[rd for rd in net.rules_from(t) if rd.action == ra.action]
+                     for s, t in pairs for ra in net.rules_from(s)]
+        deltas = {rd.delta for rds in responses for rd in rds}
+        entries = (sum(max(1, len(rds)) for rds in responses)
+                   + sum(not net.rules_from(s) for s, _ in pairs))
+        stages.clear()
+        try:
+            _query_rank(net, p, m, q, n, budget, cell_budget)
+            refused = None
+        except ResourceGuardError as exc:
+            refused = str(exc)
+        for i, rows in enumerate(stages + [refused] if refused else stages):
+            stage = min(2 ** i, budget)
+            want = reference_reachable_offsets(deltas, n, stage - 1, cell_budget // entries)
+            if isinstance(rows, str):
+                assert f"({len(want)} rows, {entries} response entries)" in rows, rows
+                capped += 1
+            else:
+                assert np.array_equal(rows, want), (net.rules, p, q, n, stage)
+                checked += 1
+    assert checked > 600 and capped > 10, (checked, capped)
 
 
 def test_deep_refutations_answer_in_time():
