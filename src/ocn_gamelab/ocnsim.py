@@ -22,7 +22,13 @@ build the certificate, and verify it.  The decision procedure refutes
 with the exact attacker rank, certifies with a verified certificate
 from that pipeline, or says Unknown.
 
-All belt geometry uses exact rational arithmetic.
+The certificate checks run on whole tables: the extended frontiers of
+a certificate's planes as arrays, evaluated at the rows a check needs,
+and the checks themselves as rows times (plane, attacker rule, defender
+response) triples, a block of rows at a time.  All belt geometry is
+exact: slopes and bands of fits are rationals, and the checks compare
+integers, int64 while every value stays below 2**62 and Python ints
+past that.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -383,8 +390,7 @@ def frontier(coloring: PlaneColoring) -> Frontier:
     if r <= 0:
         raise NetError("empty interior")
     # Rows are black prefixes of m, so the frontier is the black count - 1.
-    counts = coloring.black_counts()
-    vals = [INF if blacks == r else int(blacks) - 1 for blacks in counts]
+    vals = [INF if blacks == r else blacks - 1 for blacks in coloring.black_counts().tolist()]
     return Frontier((coloring.p, coloring.q), vals)
 
 
@@ -419,30 +425,30 @@ def _sf_fit(plane: tuple, vals: list, half: int, t: int, width: int):
     """SF fit over the uncensored rows [half, t); None when no single
     repetition vector explains them, or when extrapolating it over a
     censored row [t, len) would re-enter the view (the row could not
-    then be fully black, so the fit contradicts the observation)."""
+    then be fully black, so the fit contradicts the observation).
+
+    The differences f(n + dy) - f(n) agree over the rows exactly when
+    the steps f(n + 1) - f(n) repeat with period dy, so the least such
+    dy is the least shift that maps the list of steps onto itself.  The
+    band is read off the integers dy*f(n) - dx*n, the residuals times dy.
+    """
     if t - half < 2:
         return None
-    found = None
-    for dy in range(1, t - half):
-        diffs = {vals[n + dy] - vals[n] for n in range(half, t - dy)}
-        if len(diffs) == 1:
-            dx = diffs.pop()
-            if dx >= 1:
-                found = (dx, dy)
-            break  # a smaller dy dominates any multiple of itself
-    if found is None:
+    v = vals[half:t]
+    steps = [b - a for a, b in zip(v, v[1:])]
+    # A shift by every step compares nothing, so some dy matches.
+    dy = next(dy for dy in range(1, len(steps) + 1) if steps[dy:] == steps[:-dy])
+    dx = v[dy] - v[0]
+    if dx < 1:
+        return None  # a smaller dy dominates any multiple of itself
+    # The censored rows continue the period and grow by dx with every
+    # repeat, so the first dy of them are the lowest.
+    if min(vals[t - dy:min(t, len(vals) - dy)], default=width) + dx < width - 1:
         return None
-    dx, dy = found
-    ext = list(vals[:t])
-    for n in range(t, len(vals)):
-        pred = ext[n - dy] + dx
-        if pred < width - 1:
-            return None
-        ext.append(pred)
-    alpha = Fraction(dx, dy)
-    residuals = [vals[n] - alpha * n for n in range(half, t)]
-    return BeltFit(plane, "SF", alpha=alpha,
-                   band=(min(residuals), max(residuals)), period_hint=(dx, dy))
+    scaled = [dy * f - dx * n for n, f in enumerate(v, half)]
+    return BeltFit(plane, "SF", alpha=Fraction(dx, dy),
+                   band=(Fraction(min(scaled), dy), Fraction(max(scaled), dy)),
+                   period_hint=(dx, dy))
 
 
 def classify_and_fit(frontiers: dict) -> dict:
@@ -459,7 +465,7 @@ def classify_and_fit(frontiers: dict) -> dict:
         vals = fr.values
         h = len(vals)
         half = h // 2
-        t = next((i for i, v in enumerate(vals) if v == INF), h)
+        t = vals.index(INF) if INF in vals else h
         if t < h:
             # Steep belts saturate early, so fit on the half of the
             # uncensored rows closest to the run.
@@ -510,8 +516,8 @@ def detect_belt_period(coloring: PlaneColoring, fit: BeltFit):
         px, py = k * dx, k * dy
         if py > (r - n0) // 2 or px >= r:
             return None
-        if np.array_equal(np.minimum(b[n0:r - py], r - px),
-                          np.clip(b[n0 + py:] - px, 0, r - px)):
+        shifted = np.maximum(b[n0 + py:] - px, 0)
+        if (np.minimum(b[n0:r - py], r - px) == np.minimum(shifted, r - px)).all():
             return (px, py)
         k += 1
 
@@ -574,24 +580,27 @@ def build_certificate(colorings: dict, periods: dict) -> BeltCertificate:
 
     ``periods`` maps the SF planes to their detected vectors; planes
     with an infinity-candidate row become HF entries, everything else
-    VF.  Deterministic: derived from the colorings alone.
+    VF.  Deterministic: derived from the colorings alone.  Reads the
+    frontiers off the black counts, as :func:`frontier` does: a full row
+    is an infinity candidate, any other one ends at its count - 1.
     """
     height = None
     planes = {}
     for plane, col in sorted(colorings.items()):
-        fr = frontier(col)
-        h = fr.height
+        r = col.interior
+        if r <= 0:
+            raise NetError("empty interior")
         if height is None:
-            height = h
-        elif height != h:
+            height = r
+        elif height != r:
             raise NetError("colorings disagree on interior size")
-        vals = fr.values
+        counts = col.black_counts().tolist()
         if plane in periods:
             px, py = periods[plane]
             base = []
-            for n, v in enumerate(vals):
-                if v != INF:
-                    base.append(int(v))
+            for n, blacks in enumerate(counts):
+                if blacks < r:
+                    base.append(blacks - 1)
                     continue
                 # Censored row: the black prefix fills the view, so the
                 # frontier value is not observable; continue the period.
@@ -601,79 +610,225 @@ def build_certificate(colorings: dict, periods: dict) -> BeltCertificate:
                         "earlier row one period below it")
                 base.append(base[n - py] + px)
             planes[plane] = PlaneBelt("SF", base, period=(px, py))
-        elif any(v == INF for v in vals):
-            first = next(i for i, v in enumerate(vals) if v == INF)
-            planes[plane] = PlaneBelt("HF", [int(v) for v in vals[:first]],
+        elif r in counts:
+            first = counts.index(r)
+            planes[plane] = PlaneBelt("HF", [blacks - 1 for blacks in counts[:first]],
                                       inf_from=first)
         else:
-            planes[plane] = PlaneBelt("VF", [int(v) for v in vals])
+            planes[plane] = PlaneBelt("VF", [blacks - 1 for blacks in counts])
     return BeltCertificate(height, planes)
 
 
-def _validate_certificate(net: Socn, cert: BeltCertificate) -> None:
+# Cells (rows times planes or response triples) one numpy pass of the
+# certificate check evaluates: the rows are taken in blocks of about
+# this many cells, so memory does not grow with the horizon.
+_BLOCK_CELLS = 1 << 13
+
+
+class _FrontierTable:
+    """The extended frontiers of a certificate's planes, as arrays.
+
+    ``base`` holds the base values of ``planes[0]``, ``planes[1]``, ...
+    one after another, each followed by one pad value: ``inf`` for an HF
+    plane, which is infinite from inf_from on, and the last value
+    otherwise.  A last plane of one value, -1, stands for every plane
+    without a belt.  Row i of ``meta`` holds, for plane i, its offset
+    into ``base``, its base length, the row from which it steps through
+    its period (SF by (px, py), VF by (0, 1), which repeats its last
+    value; HF and missing planes never do, ``inf``), and px and py.
+    ``regimes`` maps each plane to its index, the row from which it is
+    shift-covariant, and its period ((0, 1) unless SF).  :meth:`at`
+    evaluates the extended frontier with the formula of
+    :meth:`BeltCertificate.frontier_at`, at the rows it is given and
+    only there; an infinite value reads ``inf``, above every finite one.
+
+    The dtype is int64 while every row and value that checking the
+    certificate can meet stays below 2**62: rows up to the height plus
+    the lcm of the periods plus the largest delta, values up to the
+    largest base value plus a period step per row.  Otherwise it is
+    numpy ``object`` (Python ints), on which the same code runs, and
+    ``inf`` is a power of two above that bound.
+    """
+
+    def __init__(self, cert: BeltCertificate, planes: list, dmax: int):
+        h = self.height = cert.height
+        self.planes, self.regimes, self.bases = planes, {}, []
+        flat, meta = [], []
+        for i, plane in enumerate(planes):
+            b = cert.planes[plane]
+            self.bases.append(b.base)
+            if b.kind == "SF":
+                period, stab, start, pad = b.period, h - b.period[1], h, b.base[-1]
+            elif b.kind == "VF":
+                period, stab, start, pad = (0, 1), h - 1, h, b.base[-1]
+            else:  # the start and the pad become inf once it is known
+                period, stab, start, pad = (0, 1), b.inf_from, None, None
+            self.regimes[plane] = (i, stab, period)
+            meta.append([len(flat), len(b.base), start, *period])
+            flat += b.base
+            flat.append(pad)
+        self.outside = (len(planes), 0, (0, 1))
+        meta.append([len(flat), 0, None, 0, 1])
+        flat.append(-1)
+        self.lcm = math.lcm(*(row[4] for row in meta))
+        bound = (max(map(max, filter(None, self.bases)), default=0)
+                 + (h + self.lcm + dmax + 1) * (max(row[3] for row in meta) + 1) + dmax + 2)
+        inf = self.inf = 1 << max(62, bound.bit_length())
+        self.dtype = np.int64 if inf == 1 << 62 else object
+        for row in meta[:-1]:
+            if row[2] is None:
+                row[2] = flat[row[0] + row[1]] = inf
+        meta[-1][2] = inf
+        self.base = np.array(flat, dtype=self.dtype)
+        self.meta = np.array(meta, dtype=self.dtype)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo, hi, dtype=self.dtype)
+
+    def columns(self, planes: np.ndarray) -> tuple:
+        """What :meth:`at` reads of the table planes ``planes``:
+        offset, base length, start, px and py, each shaped as ``planes``."""
+        meta = self.meta[planes]
+        return tuple(meta[..., j] for j in range(5))
+
+    def at(self, columns: tuple, rows: np.ndarray) -> np.ndarray:
+        """Extended frontiers of the planes of ``columns`` at rows >= 0,
+        broadcast."""
+        offset, cap, start, px, py = columns
+        k = np.maximum((rows - start) // py + 1, 0)
+        col = np.minimum(rows - k * py, cap)
+        col += offset
+        return self.base.take(col.astype(np.intp, copy=False)) + k * px
+
+    def first_decreases(self) -> dict:
+        """Per plane that has one, the first row n where its extended
+        frontier is below row n - 1: one comparison of each base with
+        itself shifted by a row, walked only to name the row.  Past the
+        base, an SF frontier repeats the base's last period shifted by
+        px, so it decreases there exactly when it does at the seam, row
+        H; a VF one repeats its last value and an HF one is infinite."""
+        found, h = {}, self.height
+        for i, (base, (_, _, (px, py))) in enumerate(zip(self.bases, self.regimes.values())):
+            if not all(map(operator.le, base, base[1:])):
+                found[i] = next(n for n in range(1, len(base)) if base[n] < base[n - 1])
+            elif px and base[h - py] + px < base[h - 1]:
+                found[i] = h
+        return found
+
+
+def _shape_fault(states: set, h: int, plane: tuple, belt: PlaneBelt) -> str | None:
+    """The first fault of one plane's states, kind, base length or
+    period, or None."""
+    p, q = plane
+    if p not in states or q not in states:
+        return f"plane {plane} references unknown states"
+    if belt.kind not in ("SF", "VF", "HF"):
+        return f"plane {plane}: unknown kind {belt.kind!r}"
+    if belt.kind == "HF":
+        if belt.inf_from is None or not 0 <= belt.inf_from <= h:
+            return f"plane {plane}: bad inf_from"
+        if len(belt.base) != belt.inf_from:
+            return f"plane {plane}: base length must equal inf_from"
+    elif len(belt.base) != h:
+        return f"plane {plane}: base length must equal certificate height"
+    if belt.kind == "SF":
+        if (belt.period is None or len(belt.period) != 2
+                or belt.period[0] < 1 or belt.period[1] < 1):
+            return f"plane {plane}: period must be positive"
+        if belt.period[1] > h:
+            return f"plane {plane}: base too small to contain one full period"
+    return None
+
+
+def _validate_certificate(net: Socn, cert: BeltCertificate) -> _FrontierTable:
+    """Check the certificate's shape and return its frontier table.
+
+    Per plane, in the certificate's order, the first fault of: states,
+    kind, base length, period, frontier values (integers >= -1), and the
+    dominance closure (the extended frontier must be nondecreasing).
+    The shape checks run plane by plane up to the first fault; the
+    values of the planes before it are checked in bulk, and walked only
+    to name a bad one; the dominance closure of the planes before the
+    first fault runs on their table, so a decrease in an earlier plane
+    is named before a later plane's other fault.
+    """
     states = set(net.states)
     if not isinstance(cert.height, int) or cert.height < 1:
         raise MalformedCertificateError("height must be a positive integer")
-    h = cert.height
+    fault, planes = None, []
     for plane, belt in cert.planes.items():
-        p, q = plane
-        if p not in states or q not in states:
-            raise MalformedCertificateError(f"plane {plane} references unknown states")
-        if belt.kind not in ("SF", "VF", "HF"):
-            raise MalformedCertificateError(f"plane {plane}: unknown kind {belt.kind!r}")
-        if belt.kind == "HF":
-            if belt.inf_from is None or not 0 <= belt.inf_from <= h:
-                raise MalformedCertificateError(f"plane {plane}: bad inf_from")
-            if len(belt.base) != belt.inf_from:
-                raise MalformedCertificateError(
-                    f"plane {plane}: base length must equal inf_from")
-        else:
-            if len(belt.base) != h:
-                raise MalformedCertificateError(
-                    f"plane {plane}: base length must equal certificate height")
-        if belt.kind == "SF":
-            if (belt.period is None or len(belt.period) != 2
-                    or belt.period[0] < 1 or belt.period[1] < 1):
-                raise MalformedCertificateError(f"plane {plane}: period must be positive")
-            if belt.period[1] > h:
-                raise MalformedCertificateError(
-                    f"plane {plane}: base too small to contain one full period")
-        for v in belt.base:
-            if not isinstance(v, int) or v < -1:
-                raise MalformedCertificateError(f"plane {plane}: bad frontier value {v!r}")
-        # Dominance closure: the extended frontier must be nondecreasing,
-        # checked across the seam into the periodic regime.  An HF
-        # frontier is infinite from inf_from on, so its walk stops there.
-        if belt.kind == "HF":
-            horizon = belt.inf_from + 1
-        else:
-            horizon = h + (belt.period[1] if belt.kind == "SF" else 1)
-        prev = cert.frontier_at(plane, 0)
-        for n in range(1, horizon + 1):
-            cur = cert.frontier_at(plane, n)
-            if (prev == INF and cur != INF) or (cur != INF and cur < prev):
-                raise MalformedCertificateError(
-                    f"plane {plane}: frontier decreases at row {n}")
-            prev = cur
+        fault = _shape_fault(states, cert.height, plane, belt)
+        if fault is not None:
+            break
+        planes.append(plane)
+    values = list(itertools.chain.from_iterable(cert.planes[plane].base for plane in planes))
+    if set(map(type, values)) - {int} or min(values, default=0) < -1:
+        for i, plane in enumerate(planes):
+            bad = next((v for v in cert.planes[plane].base
+                        if not isinstance(v, int) or v < -1), None)
+            if bad is not None:
+                fault, planes = f"plane {plane}: bad frontier value {bad!r}", planes[:i]
+                break
+    table = _FrontierTable(cert, planes, net.max_delta)
+    decreases = table.first_decreases()
+    if decreases:
+        i = min(decreases)
+        raise MalformedCertificateError(
+            f"plane {planes[i]}: frontier decreases at row {decreases[i]}")
+    if fault is not None:
+        raise MalformedCertificateError(fault)
+    return table
 
 
-def _plane_slope(belt: PlaneBelt | None):
-    if belt is None:
-        return Fraction(0)
-    if belt.kind == "SF":
-        return Fraction(belt.period[0], belt.period[1])
-    return Fraction(0)  # VF; HF targets are handled via infinite rows
+class _ResponseTriples:
+    """The checks of :func:`verify_certificate_explain` as flat tables.
 
+    One entry per (source plane, attacker rule, same-action defender
+    response) triple, laid out as ``_RuleCells`` lays out the rounds:
+    the source planes are the certificate's, sorted, each attacker rule
+    owns a slice of entries, and a rule with no response owns one dead
+    entry, whose defender delta reads below row 0 in every row checked.
+    Per entry: the target's table row, the defender delta, and the row
+    from which a response into the target is stable: the target's
+    covariant regime when its slope is at least the source's (compared
+    as px' * py >= px * py'), and no row otherwise.
+    """
 
-def _plane_stab_row(belt: PlaneBelt | None, h: int) -> int:
-    """Row from which the extended frontier is shift-covariant."""
-    if belt is None:
-        return 0
-    if belt.kind == "SF":
-        return h - belt.period[1]
-    if belt.kind == "VF":
-        return h - 1
-    return belt.inf_from
+    def __init__(self, net: Socn, cert: BeltCertificate, table: _FrontierTable,
+                 horizon: int):
+        never, regimes, outside = table.inf, table.regimes, table.outside
+        responses = {}
+        for rd in net.rules:
+            responses.setdefault((rd.frm, rd.action), []).append(rd)
+        self.sources = sorted(cert.planes)
+        rules, entries, self.plane_rules = [], [], []
+        for s, (p, q) in enumerate(self.sources):
+            px, py = regimes[(p, q)][2]
+            first = len(rules)
+            for ra in net.rules_from(p):
+                u = len(rules)
+                rules.append((ra, s, ra.delta, px > 0, len(entries)))
+                for rd in responses.get((q, ra.action), ()):
+                    row, stab, (tpx, tpy) = regimes.get((ra.to, rd.to), outside)
+                    entries.append((row, rd.delta, stab if tpx * py >= px * tpy else never, u))
+                if len(entries) == rules[-1][4]:
+                    entries.append((outside[0], -horizon, never, u))
+            self.plane_rules.append(range(first, len(rules)))
+        self.rules = [rule[0] for rule in rules]
+        if not rules:
+            return
+        _, rule_src, das, growing, self.starts = zip(*rules)
+        targets, dds, stabs, owners = zip(*entries)
+        self.rule_src, self.entry_rule = np.array(rule_src), np.array(owners)
+        self.da = np.array(das, dtype=table.dtype)[:, None]
+        self.growing = np.array(growing)[:, None]
+        self.stab = np.array(stabs, dtype=table.dtype)[:, None]
+        # The sources, read at defender delta 0, then the targets: one
+        # table read per block.
+        self.width = len(self.sources) + len(entries)
+        self.columns = table.columns(np.array(
+            [regimes[plane][0] for plane in self.sources] + list(targets))[:, None])
+        self.reads = np.array([0] * len(self.sources) + list(dds), dtype=table.dtype)[:, None]
 
 
 def verify_certificate_explain(net: Socn, cert: BeltCertificate):
@@ -695,19 +850,29 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
       monotone in n), plus, for unbounded m, a defender response into
       an infinite row of the target plane.
 
+    The check runs on the rows times the (plane, attacker rule,
+    defender response) triples of :class:`_ResponseTriples`, in blocks
+    of rows of about ``_BLOCK_CELLS`` cells, so its memory does not grow
+    with the horizon, and in a fixed number of numpy passes per block:
+    the source and target frontiers of every triple and row at once,
+    then per rule whether some response answers the frontier cell (for
+    an infinite row: whether some response lands in an infinite row)
+    and the largest target frontier, which settles the small-m cells of
+    an infinite row (a rule enabled at m is answered iff m + delta is at
+    most that frontier, so it fails from one threshold on).  Failures
+    are worded only for the rows that fail, ordered by plane, then row,
+    then m, then rule.  Values are int64, or Python ints when a row or
+    value could pass 2**62 (see :class:`_FrontierTable`).
+
     Raises ResourceGuardError when the rows to check, (H+L) times the
     number of planes, plus the small-m cells of the infinite rows,
     (H+L - inf_from) * (Dmax+1) per HF plane, exceed DEFAULT_CELL_BUDGET:
     an untrusted certificate can make L astronomically large, and a
-    succinct net writes Dmax in binary.
+    succinct net writes Dmax in binary.  The guard counts these rows and
+    cells although the small-m cells of a row are settled at once.
     """
-    _validate_certificate(net, cert)
-    failures = []
-    h = cert.height
-    lcm = 1
-    for belt in cert.planes.values():
-        if belt.kind == "SF":
-            lcm = lcm * belt.period[1] // math.gcd(lcm, belt.period[1])
+    table = _validate_certificate(net, cert)
+    h, lcm = cert.height, table.lcm
     horizon = h + lcm
     dmax = net.max_delta
     rows = horizon * len(cert.planes)
@@ -718,79 +883,63 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
             f"verification needs {rows} rows and {cells} infinite-row cells "
             f"({len(cert.planes)} planes, height {h}, period lcm {lcm}, "
             f"largest delta {dmax}), budget is {DEFAULT_CELL_BUDGET}")
-
-    for plane, belt in sorted(cert.planes.items()):
-        p, q = plane
-        slope = _plane_slope(belt)
-        for n in range(horizon):
-            f = cert.frontier_at(plane, n)
-            if f == -1:
+    checks = _ResponseTriples(net, cert, table, horizon)
+    if not checks.rules:
+        return True, []
+    inf, count = table.inf, len(checks.sources)
+    per_plane = [[] for _ in checks.sources]
+    step = max(1, _BLOCK_CELLS // checks.width)
+    for lo in range(0, horizon, step):
+        n = table.rows(lo, min(lo + step, horizon))
+        reads = n + checks.reads
+        vals = table.at(checks.columns, np.maximum(reads, 0))
+        f = vals[:count][checks.rule_src]  # per attacker rule
+        reads = reads[count:]
+        tgt = np.where(reads >= 0, vals[count:], -inf)  # per triple
+        virtual = f + checks.da
+        below = n < h
+        # A response answers a frontier cell when it lands in an infinite
+        # row or at or left of the target frontier, and inside the window
+        # [H, H+L) also stably.
+        answered = (tgt == inf) | (virtual[checks.entry_rule] <= tgt) & (
+            below | (reads >= checks.stab))
+        answered = np.logical_or.reduceat(answered, checks.starts, axis=0)
+        # Disabled at the frontier cell; below the window that is final,
+        # inside it a growing frontier re-enables the rule at higher rows.
+        # An infinite row's rules are all enabled, and answered exactly
+        # when some response lands in an infinite row (the large-m check).
+        enabled = (virtual >= 0) | (checks.growing & ~below)
+        failed = (f >= 0) & enabled & ~answered
+        infinite = f == inf
+        if infinite.any():
+            # Small-m check: a rule is unanswered from this m on (past
+            # Dmax when some response lands in an infinite row).
+            top = np.maximum.reduceat(tgt, checks.starts, axis=0)
+            first = np.maximum(np.maximum(-checks.da, 0), top - checks.da + 1)
+            failed |= infinite & (first <= dmax)
+        for s, j in sorted({(int(checks.rule_src[u]), j) for u, j in zip(*failed.nonzero())}):
+            rules = checks.plane_rules[s]
+            lines = per_plane[s]
+            head = f"plane {checks.sources[s]} row {lo + j}"
+            fv = f[rules.start, j]
+            if fv != inf:
+                lines.extend(f"{head}: frontier cell m={int(fv)}, rule {_rule_text(checks.rules[u])}"
+                             " unanswered" for u in rules if failed[u, j])
                 continue
-            if f == INF:
-                # Small-m regime: cells m <= Dmax, transferring upward by
-                # dominance since m stays fixed.  An enabled rule is
-                # answered at m iff m + delta is at most the largest
-                # target frontier over its enabled responses, so each
-                # rule fails from one threshold on.
-                firsts = []
-                for ra in net.rules_from(p):
-                    top = max((cert.frontier_at((ra.to, rd.to), n + rd.delta)
-                               for rd in net.rules_from(q)
-                               if rd.action == ra.action and n + rd.delta >= 0),
-                              default=-INF)
-                    firsts.append(max(0, -ra.delta, top - ra.delta + 1))
-                start = min((first for first in firsts if first <= dmax), default=dmax + 1)
-                for m in range(start, dmax + 1):
-                    for ra, first in zip(net.rules_from(p), firsts):
-                        if m >= first:
-                            failures.append(
-                                f"plane {plane} row {n}: infinite row, m={m}, "
-                                f"rule ({ra.frm},{ra.action},{ra.delta},{ra.to}) unanswered")
-                # Large-m regime: every rule needs a response into an
-                # infinite row of the target plane.
-                for ra in net.rules_from(p):
-                    ok = any(
-                        rd.action == ra.action and n + rd.delta >= 0
-                        and cert.frontier_at((ra.to, rd.to), n + rd.delta) == INF
-                        for rd in net.rules_from(q))
-                    if not ok:
-                        failures.append(
-                            f"plane {plane} row {n}: infinite row, large m, "
-                            f"rule ({ra.frm},{ra.action},{ra.delta},{ra.to}) has no "
-                            "response into an infinite row")
-                continue
-            in_window = n >= h
-            for ra in net.rules_from(p):
-                virtual = f + ra.delta
-                if virtual < 0 and not (in_window and slope > 0):
-                    # Disabled at the frontier cell; below the window that
-                    # is final, inside it a growing frontier re-enables the
-                    # rule at higher rows unless the plane is not growing.
-                    continue
-                answered = False
-                for rd in net.rules_from(q):
-                    if rd.action != ra.action or n + rd.delta < 0:
-                        continue
-                    tgt_plane = (ra.to, rd.to)
-                    tgt_f = cert.frontier_at(tgt_plane, n + rd.delta)
-                    if tgt_f != INF and virtual > tgt_f:
-                        continue
-                    if in_window:
-                        tgt_belt = cert.planes.get(tgt_plane)
-                        if tgt_f == INF:
-                            stable = True
-                        else:
-                            stable = (n + rd.delta >= _plane_stab_row(tgt_belt, h)
-                                      and _plane_slope(tgt_belt) >= slope)
-                        if not stable:
-                            continue
-                    answered = True
-                    break
-                if not answered:
-                    failures.append(
-                        f"plane {plane} row {n}: frontier cell m={f}, rule "
-                        f"({ra.frm},{ra.action},{ra.delta},{ra.to}) unanswered")
+            firsts = [int(first[u, j]) for u in rules]
+            start = min((x for x in firsts if x <= dmax), default=dmax + 1)
+            for m in range(start, dmax + 1):
+                lines.extend(f"{head}: infinite row, m={m}, rule {_rule_text(checks.rules[u])}"
+                             " unanswered" for u, x in zip(rules, firsts) if m >= x)
+            lines.extend(f"{head}: infinite row, large m, rule {_rule_text(checks.rules[u])} "
+                         "has no response into an infinite row"
+                         for u in rules if not answered[u, j])
+    failures = [line for lines in per_plane for line in lines]
     return not failures, failures
+
+
+def _rule_text(rule) -> str:
+    return f"({rule.frm},{rule.action},{rule.delta},{rule.to})"
 
 
 # ---------------------------------------------------------------------------

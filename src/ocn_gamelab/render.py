@@ -98,12 +98,18 @@ def _render_svg(coloring: PlaneColoring, spec: RenderSpec,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
         f' viewBox="0 0 {side} {side}">'
     ]
+    # A row is its y joining the text between the y's of its cells: the
+    # head of cell 0, then per cell m the tail of m (black or white)
+    # and the head of m + 1, then the tail of the last cell.
+    heads = [f'<rect x="{m * cs}" y="' for m in range(r)] + [""]
+    tails = [f'" width="{cs}" height="{cs}" fill="{fill}"/>'
+             for fill in ("#000000", "#ffffff")]
+    black = [tails[0] + "\n" + head for head in heads[1:]]
+    white = [tails[1] + "\n" + head for head in heads[1:]]
+    black[-1], white[-1] = tails
     for n in reversed(range(r)):
-        y = (r - 1 - n) * cs
-        for m in range(r):
-            fill = "#000000" if m < blacks[n] else "#ffffff"
-            parts.append(f'<rect x="{m * cs}" y="{y}" width="{cs}" height="{cs}"'
-                         f' fill="{fill}"/>')
+        b = blacks[n]
+        parts.append(str((r - 1 - n) * cs).join([heads[0]] + black[:b] + white[b:]))
     if spec.show_frontier:
         points = []
         for n, v in enumerate(frontier(coloring).values):

@@ -7,26 +7,34 @@ shares logic with the implementation under test.  The vector-travel
 walk checks the step lemma on colorings the package computed; it only
 reads their white ranks.  The dense threshold rounds re-evaluate every
 rule cell each round, the reference for the package's semi-naive ones.
+The belt fit and the certificate checks that walk one row and one rule
+pair at a time through ``BeltCertificate.frontier_at``, with
+``Fraction`` residuals and slopes, are the references for the package's
+whole-table ones.
 The record-by-record parsers of counter-game and sequence-description
 documents are the references for the package's bulk ones; they share
 the field checks of ``documents`` that word each fault.
 """
 
 import contextlib
+import copy
 import itertools
 import json
+import math
 import signal
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ocn_gamelab import (ADAM, EVE, BeltCertificate, Config, CountdownGame, DocumentError,
-                         EcgAnswer, EgspAnswer, InvariantError, Lts, NetError, PeriodAnswer,
-                         PlaneBelt, RGame, Rule, SeqDescription, SeqError, Socn, SocnRGame,
-                         head_symbol, successors, winning_area)
+from ocn_gamelab import (ADAM, EVE, INF, BeltCertificate, BeltFit, Config, CountdownGame,
+                         DocumentError, EcgAnswer, EgspAnswer, InvariantError, Lts,
+                         MalformedCertificateError, NetError, PeriodAnswer, PlaneBelt, RGame,
+                         ResourceGuardError, Rule, SeqDescription, SeqError, Socn, SocnRGame,
+                         UnstableFitError, head_symbol, successors, winning_area)
 from ocn_gamelab.documents import (_counter_rule, _counter_state, _int, _list, _obj, _str,
                                    _str_list)
-from ocn_gamelab.ocnsim import _BLACK
+from ocn_gamelab.ocnsim import _BLACK, DEFAULT_CELL_BUDGET
 
 # ---------------------------------------------------------------------------
 # Relation oracles
@@ -242,6 +250,258 @@ def reference_threshold_rounds(net: Socn, pairs: list, rows: np.ndarray, low: in
             return
         yield nxt
         w = nxt
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row belt fit and certificate checks
+
+
+def reference_sf_fit(plane: tuple, vals: list, half: int, t: int, width: int):
+    """SF fit over the uncensored rows [half, t); None when no single
+    repetition vector explains them, or when extrapolating it over a
+    censored row [t, len) would re-enter the view (the row could not
+    then be fully black, so the fit contradicts the observation)."""
+    if t - half < 2:
+        return None
+    found = None
+    for dy in range(1, t - half):
+        diffs = {vals[n + dy] - vals[n] for n in range(half, t - dy)}
+        if len(diffs) == 1:
+            dx = diffs.pop()
+            if dx >= 1:
+                found = (dx, dy)
+            break  # a smaller dy dominates any multiple of itself
+    if found is None:
+        return None
+    dx, dy = found
+    ext = list(vals[:t])
+    for n in range(t, len(vals)):
+        pred = ext[n - dy] + dx
+        if pred < width - 1:
+            return None
+        ext.append(pred)
+    alpha = Fraction(dx, dy)
+    residuals = [vals[n] - alpha * n for n in range(half, t)]
+    return BeltFit(plane, "SF", alpha=alpha,
+                   band=(min(residuals), max(residuals)), period_hint=(dx, dy))
+
+
+def reference_classify_and_fit(frontiers: dict) -> dict:
+    """BeltFit per plane; raises UnstableFitError when nothing fits.
+
+    A fully black row is ambiguous in a finite view: either the plane
+    really is all black from there on, or a steep belt's frontier left
+    the view (censoring).  Monotonicity makes such rows a terminal run,
+    so the belt reading is tried on the rows below the run first and HF
+    is kept only for what that cannot explain.
+    """
+    fits = {}
+    for plane, fr in frontiers.items():
+        vals = fr.values
+        h = len(vals)
+        half = h // 2
+        t = next((i for i, v in enumerate(vals) if v == INF), h)
+        if t < h:
+            # Steep belts saturate early, so fit on the half of the
+            # uncensored rows closest to the run.
+            fit = reference_sf_fit(plane, vals, t // 2, t, h)
+            fits[plane] = fit if fit is not None else BeltFit(plane, "HF",
+                                                              inf_from=t)
+            continue
+        upper = vals[half:]
+        if all(v == upper[0] for v in upper):
+            fits[plane] = BeltFit(plane, "VF", level=upper[0])
+            continue
+        fit = reference_sf_fit(plane, vals, half, h, h)
+        if fit is None:
+            raise UnstableFitError(
+                f"plane {plane}: no frontier repetition over rows [{half},{h}); "
+                "enlarge the view")
+        fits[plane] = fit
+    return fits
+
+
+def reference_validate_certificate(net: Socn, cert: BeltCertificate) -> None:
+    states = set(net.states)
+    if not isinstance(cert.height, int) or cert.height < 1:
+        raise MalformedCertificateError("height must be a positive integer")
+    h = cert.height
+    for plane, belt in cert.planes.items():
+        p, q = plane
+        if p not in states or q not in states:
+            raise MalformedCertificateError(f"plane {plane} references unknown states")
+        if belt.kind not in ("SF", "VF", "HF"):
+            raise MalformedCertificateError(f"plane {plane}: unknown kind {belt.kind!r}")
+        if belt.kind == "HF":
+            if belt.inf_from is None or not 0 <= belt.inf_from <= h:
+                raise MalformedCertificateError(f"plane {plane}: bad inf_from")
+            if len(belt.base) != belt.inf_from:
+                raise MalformedCertificateError(
+                    f"plane {plane}: base length must equal inf_from")
+        else:
+            if len(belt.base) != h:
+                raise MalformedCertificateError(
+                    f"plane {plane}: base length must equal certificate height")
+        if belt.kind == "SF":
+            if (belt.period is None or len(belt.period) != 2
+                    or belt.period[0] < 1 or belt.period[1] < 1):
+                raise MalformedCertificateError(f"plane {plane}: period must be positive")
+            if belt.period[1] > h:
+                raise MalformedCertificateError(
+                    f"plane {plane}: base too small to contain one full period")
+        for v in belt.base:
+            if not isinstance(v, int) or v < -1:
+                raise MalformedCertificateError(f"plane {plane}: bad frontier value {v!r}")
+        # Dominance closure: the extended frontier must be nondecreasing,
+        # checked across the seam into the periodic regime.  An HF
+        # frontier is infinite from inf_from on, so its walk stops there.
+        if belt.kind == "HF":
+            horizon = belt.inf_from + 1
+        else:
+            horizon = h + (belt.period[1] if belt.kind == "SF" else 1)
+        prev = cert.frontier_at(plane, 0)
+        for n in range(1, horizon + 1):
+            cur = cert.frontier_at(plane, n)
+            if (prev == INF and cur != INF) or (cur != INF and cur < prev):
+                raise MalformedCertificateError(
+                    f"plane {plane}: frontier decreases at row {n}")
+            prev = cur
+
+
+def _reference_plane_slope(belt: PlaneBelt | None):
+    if belt is None:
+        return Fraction(0)
+    if belt.kind == "SF":
+        return Fraction(belt.period[0], belt.period[1])
+    return Fraction(0)  # VF; HF targets are handled via infinite rows
+
+
+def _reference_plane_stab_row(belt: PlaneBelt | None, h: int) -> int:
+    """Row from which the extended frontier is shift-covariant."""
+    if belt is None:
+        return 0
+    if belt.kind == "SF":
+        return h - belt.period[1]
+    if belt.kind == "VF":
+        return h - 1
+    return belt.inf_from
+
+
+def reference_verify_certificate_explain(net: Socn, cert: BeltCertificate):
+    """Closure check of the certified black set; returns (ok, failures).
+
+    Finitely many checks suffice:
+
+    * rows [0, H+L) per plane, where L is the lcm of the SF periods:
+      for a finite frontier value only the frontier cell is checked
+      (any cell left of it enables fewer attacker rules and the same
+      defender response lands deeper inside B by dominance);
+    * rows in the transfer window [H, H+L) additionally require the
+      chosen response to be *stable*: it must land at or above the
+      target plane's covariant regime with slope(target) >= slope(source)
+      (or in an infinite row), which transports the check to every
+      higher row since both frontiers then shift in lockstep;
+    * infinite rows get a two-regime check: explicit small m up to the
+      largest delta (transfers upward because membership at fixed m is
+      monotone in n), plus, for unbounded m, a defender response into
+      an infinite row of the target plane.
+
+    Raises ResourceGuardError when the rows to check, (H+L) times the
+    number of planes, plus the small-m cells of the infinite rows,
+    (H+L - inf_from) * (Dmax+1) per HF plane, exceed DEFAULT_CELL_BUDGET:
+    an untrusted certificate can make L astronomically large, and a
+    succinct net writes Dmax in binary.
+    """
+    reference_validate_certificate(net, cert)
+    failures = []
+    h = cert.height
+    lcm = 1
+    for belt in cert.planes.values():
+        if belt.kind == "SF":
+            lcm = lcm * belt.period[1] // math.gcd(lcm, belt.period[1])
+    horizon = h + lcm
+    dmax = net.max_delta
+    rows = horizon * len(cert.planes)
+    cells = sum((horizon - belt.inf_from) * (dmax + 1)
+                for belt in cert.planes.values() if belt.kind == "HF")
+    if rows + cells > DEFAULT_CELL_BUDGET:
+        raise ResourceGuardError(
+            f"verification needs {rows} rows and {cells} infinite-row cells "
+            f"({len(cert.planes)} planes, height {h}, period lcm {lcm}, "
+            f"largest delta {dmax}), budget is {DEFAULT_CELL_BUDGET}")
+
+    for plane, belt in sorted(cert.planes.items()):
+        p, q = plane
+        slope = _reference_plane_slope(belt)
+        for n in range(horizon):
+            f = cert.frontier_at(plane, n)
+            if f == -1:
+                continue
+            if f == INF:
+                # Small-m regime: cells m <= Dmax, transferring upward by
+                # dominance since m stays fixed.  An enabled rule is
+                # answered at m iff m + delta is at most the largest
+                # target frontier over its enabled responses, so each
+                # rule fails from one threshold on.
+                firsts = []
+                for ra in net.rules_from(p):
+                    top = max((cert.frontier_at((ra.to, rd.to), n + rd.delta)
+                               for rd in net.rules_from(q)
+                               if rd.action == ra.action and n + rd.delta >= 0),
+                              default=-INF)
+                    firsts.append(max(0, -ra.delta, top - ra.delta + 1))
+                start = min((first for first in firsts if first <= dmax), default=dmax + 1)
+                for m in range(start, dmax + 1):
+                    for ra, first in zip(net.rules_from(p), firsts):
+                        if m >= first:
+                            failures.append(
+                                f"plane {plane} row {n}: infinite row, m={m}, "
+                                f"rule ({ra.frm},{ra.action},{ra.delta},{ra.to}) unanswered")
+                # Large-m regime: every rule needs a response into an
+                # infinite row of the target plane.
+                for ra in net.rules_from(p):
+                    ok = any(
+                        rd.action == ra.action and n + rd.delta >= 0
+                        and cert.frontier_at((ra.to, rd.to), n + rd.delta) == INF
+                        for rd in net.rules_from(q))
+                    if not ok:
+                        failures.append(
+                            f"plane {plane} row {n}: infinite row, large m, "
+                            f"rule ({ra.frm},{ra.action},{ra.delta},{ra.to}) has no "
+                            "response into an infinite row")
+                continue
+            in_window = n >= h
+            for ra in net.rules_from(p):
+                virtual = f + ra.delta
+                if virtual < 0 and not (in_window and slope > 0):
+                    # Disabled at the frontier cell; below the window that
+                    # is final, inside it a growing frontier re-enables the
+                    # rule at higher rows unless the plane is not growing.
+                    continue
+                answered = False
+                for rd in net.rules_from(q):
+                    if rd.action != ra.action or n + rd.delta < 0:
+                        continue
+                    tgt_plane = (ra.to, rd.to)
+                    tgt_f = cert.frontier_at(tgt_plane, n + rd.delta)
+                    if tgt_f != INF and virtual > tgt_f:
+                        continue
+                    if in_window:
+                        tgt_belt = cert.planes.get(tgt_plane)
+                        if tgt_f == INF:
+                            stable = True
+                        else:
+                            stable = (n + rd.delta >= _reference_plane_stab_row(tgt_belt, h)
+                                      and _reference_plane_slope(tgt_belt) >= slope)
+                        if not stable:
+                            continue
+                    answered = True
+                    break
+                if not answered:
+                    failures.append(
+                        f"plane {plane} row {n}: frontier cell m={f}, rule "
+                        f"({ra.frm},{ra.action},{ra.delta},{ra.to}) unanswered")
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------
@@ -1108,6 +1368,73 @@ def big_delta_certificate(delta: int = 10 ** 7):
     infinite rows' small-m check would visit about 2 * delta cells."""
     net = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", delta, "s"),))
     return net, BeltCertificate(1, {("s", "s"): PlaneBelt("HF", [], inf_from=0)})
+
+
+def certificate_mutants(rng, cert: BeltCertificate) -> list:
+    """Damaged copies of ``cert``, each with one change: a frontier value
+    or a suffix of one raised or lowered, px shifted, a VF level raised,
+    an HF inf_from lowered (with the base cut to match, or not), a plane
+    dropped, and a decrease in one plane followed by a shape fault in a
+    later one, which pins the order in which faults are named."""
+    planes = list(cert.planes)
+    out = []
+
+    def mutant():
+        bad = copy.deepcopy(cert)
+        out.append(bad)
+        return bad.planes
+
+    with_base = [plane for plane in planes if cert.planes[plane].base]
+    if with_base:
+        plane = rng.choice(with_base)
+        i = rng.randrange(len(cert.planes[plane].base))
+        mutant()[plane].base[i] += rng.choice([-1, 1, 2])
+        plane = rng.choice(with_base)
+        i, d = rng.randrange(len(cert.planes[plane].base)), rng.choice([-1, 1])
+        belt = mutant()[plane]
+        belt.base[i:] = [v + d for v in belt.base[i:]]
+    kinds = {kind: [plane for plane in planes if cert.planes[plane].kind == kind]
+             for kind in ("SF", "VF", "HF")}
+    if kinds["SF"]:
+        belt = mutant()[rng.choice(kinds["SF"])]
+        belt.period = (belt.period[0] + rng.choice([-1, 1]), belt.period[1])
+    if kinds["VF"]:
+        belt = mutant()[rng.choice(kinds["VF"])]
+        i = rng.randrange(len(belt.base))
+        belt.base[i:] = [v + 1 for v in belt.base[i:]]
+    lowered = [plane for plane in kinds["HF"] if cert.planes[plane].inf_from > 0]
+    if lowered:
+        belt = mutant()[rng.choice(lowered)]
+        belt.inf_from -= 1
+        if rng.random() < 0.8:
+            belt.base.pop()
+    if planes:
+        del mutant()[rng.choice(planes)]
+    long = [i for i, plane in enumerate(planes) if len(cert.planes[plane].base) >= 2]
+    if long and long[0] + 1 < len(planes):
+        i = rng.choice(long[:-1] or long)
+        j = rng.randrange(i + 1, len(planes))
+        bad = mutant()
+        bad[planes[i]].base[0] = bad[planes[i]].base[-1] + 1
+        bad[planes[j]].kind = "XX"
+    return out
+
+
+def huge_period_certificates():
+    """Nets and certificates whose rows or values pass 64 bits: an SF
+    plane of px = 2**70 that verifies, one that fails, the big-delta
+    plane of 2**70 (refused by the guard), and an SF plane that verifies
+    on a net whose one delta is 2**70."""
+    one = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", 0, "s"),))
+    steep = BeltCertificate(2, {("s", "s"): PlaneBelt("SF", [0, 2 ** 70], period=(2 ** 70, 1))})
+    two = Socn(states=("s", "t"), actions=("a",),
+               rules=(Rule("s", "a", 0, "s"), Rule("t", "a", -1, "t")))
+    wrong = BeltCertificate(3, {("s", "t"): PlaneBelt("SF", [0, 2 ** 70, 2 ** 71],
+                                                      period=(2 ** 70, 1)),
+                                ("s", "s"): PlaneBelt("VF", [5, 5, 5])})
+    leap = Socn(states=("s",), actions=("a",), rules=(Rule("s", "a", 2 ** 70, "s"),))
+    diagonal = BeltCertificate(2, {("s", "s"): PlaneBelt("SF", [0, 1], period=(1, 1))})
+    return [(one, steep), (two, wrong), big_delta_certificate(2 ** 70), (leap, diagonal)]
 
 
 def tall_certificate(height: int = 10 ** 12):

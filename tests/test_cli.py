@@ -11,8 +11,8 @@ from ocn_gamelab import (CertificateDoc, CountdownGame, InputDocument, Invariant
                          parse_document, rank_matrix, render_plane, serialize_document)
 from ocn_gamelab.cli import main
 
-from oracles import (big_delta_certificate, prime_period_certificate, reference_find_period,
-                     tall_certificate, time_limit)
+from oracles import (big_delta_certificate, huge_period_certificates, prime_period_certificate,
+                     reference_find_period, tall_certificate, time_limit)
 
 BLANK = " "
 
@@ -641,3 +641,21 @@ def test_golden_unstable_fit(capsys, no_period_net_doc, tmp_path, monkeypatch):
     assert not cert_path.exists()
     assert run(capsys, "sim", "belts", "--net", no_period_net_doc,
                "--view", "8") == (2, unstable, "")
+
+
+def test_sim_certify_checks_certificates_past_64_bits(capsys, tmp_path):
+    # Verified, rejected (its failure lines name frontier values past
+    # 2**70), refused by the guard, verified: no traceback.
+    want = [(0, "VERIFIED"), (1, "REJECTED"), (4, ""), (0, "VERIFIED")]
+    for i, ((net, cert), (code, last)) in enumerate(zip(huge_period_certificates(), want)):
+        net_path = write_doc(tmp_path / f"net{i}.json", "socn", net)
+        cert_path = write_doc(tmp_path / f"cert{i}.json", "certificate",
+                              CertificateDoc(certificate=cert, net_sha256=net_sha256(net)))
+        with time_limit(2.0):
+            got, out, err = run(capsys, "sim", "certify", "--net", net_path,
+                                "--cert", cert_path)
+        assert (got, out.rstrip().rsplit("\n", 1)[-1]) == (code, last), (i, out, err)
+        assert "Traceback" not in err
+    assert "m=3541774862152233910272" in run(capsys, "sim", "certify", "--net",
+                                              str(tmp_path / "net1.json"), "--cert",
+                                              str(tmp_path / "cert1.json"))[1]

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import itertools
@@ -7,22 +8,24 @@ from fractions import Fraction
 
 import pytest
 
-from ocn_gamelab import (INF, BeltCertificate, Config, InvariantError,
+from ocn_gamelab import (INF, BeltCertificate, Config, Frontier, InvariantError,
                          MalformedCertificateError, NetError, PlaneBelt, PlaneColoring,
-                         ResourceGuardError, Rule, Socn,
+                         ResourceGuardError, Rule, Socn, UnstableFitError,
                          belt_periods, bounded_attacker_search, build_certificate,
                          certify_colorings, classify_and_fit, color_planes,
                          decide_sim, detect_belt_period, frontier,
                          successors, verify_certificate_explain)
 from ocn_gamelab import ocnsim
 from ocn_gamelab.ocnsim import (_BLACK, _assert_interior_monotone, _query_rank,
-                                _threshold_rounds)
+                                _threshold_rounds, _validate_certificate)
 
 import numpy as np
 
-from oracles import (big_delta_certificate, canonical_unary_nets, grid_color_planes,
-                     prime_period_certificate, random_succinct_net, random_unary_net,
+from oracles import (big_delta_certificate, canonical_unary_nets, certificate_mutants,
+                     grid_color_planes, huge_period_certificates, prime_period_certificate,
+                     random_succinct_net, random_unary_net, reference_classify_and_fit,
                      reference_reachable_offsets, reference_threshold_rounds,
+                     reference_validate_certificate, reference_verify_certificate_explain,
                      tall_certificate, time_limit, trace_vector_travel)
 
 
@@ -543,3 +546,157 @@ def test_deep_refutations_answer_in_time():
         with time_limit(1.0):
             decision = decide_sim(drain_net(), "p", m, "q", 2 * m - 1)
         assert (decision.kind, decision.rank) == ("no", 2 * m)
+
+
+def outcome(check, *args):
+    """What a check returns, or the type and message of what it raises."""
+    try:
+        return check(*args)
+    except (MalformedCertificateError, ResourceGuardError, UnstableFitError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(net, cert):
+    got = outcome(verify_certificate_explain, net, cert)
+    assert got == outcome(reference_verify_certificate_explain, net, cert), (net, cert)
+    shape = outcome(_validate_certificate, net, cert)
+    assert (shape if isinstance(shape, tuple) else None) == outcome(
+        reference_validate_certificate, net, cert), (net, cert)
+    return got
+
+
+def test_certificate_checks_match_the_row_by_row_reference():
+    rng = random.Random(2525)
+    tally = collections.Counter()
+    for i in range(240):
+        net = random_unary_net(rng, 3, 6) if i % 2 else random_succinct_net(rng, 3, 5, 3)
+        view = rng.randint(4, 14)
+        cols = color_planes(net, 2 * view, view)
+        frontiers = {plane: frontier(col) for plane, col in cols.items()}
+        assert outcome(classify_and_fit, frontiers) == outcome(
+            reference_classify_and_fit, frontiers), net
+        try:
+            _, periods = belt_periods(cols)
+        except UnstableFitError:
+            continue
+        if None in periods.values():
+            continue
+        cert = build_certificate(cols, periods)
+        for bad in [cert] + certificate_mutants(rng, cert):
+            got = assert_matches_reference(net, bad)
+            tally["refused" if isinstance(got[0], type) else got[0]] += 1
+    # Certificates that verify, that fail, and that are refused all occur.
+    assert min(tally[True], tally[False], tally["refused"]) >= 200, tally
+
+
+def test_sf_fit_matches_the_reference_on_raw_frontiers():
+    rng = random.Random(77)
+    for _ in range(300):
+        h = rng.randint(1, 40)
+        vals = sorted(rng.randint(-1, 30) for _ in range(h))
+        if rng.random() < 0.5:
+            dx, dy = rng.randint(1, 3), rng.randint(1, 4)
+            vals = [(n // dy) * dx + rng.choice([0, 0, 0, 1]) for n in range(h)]
+        for censored in (0, rng.randint(1, h)):
+            vals = vals[:h - censored] + [INF] * censored
+            frontiers = {("p", "q"): Frontier(("p", "q"), vals)}
+            assert outcome(classify_and_fit, frontiers) == outcome(
+                reference_classify_and_fit, frontiers), vals
+
+
+def test_certificates_past_64_bits_match_the_reference():
+    results = [assert_matches_reference(net, cert)
+               for net, cert in huge_period_certificates()]
+    assert results[0] == (True, [])
+    assert results[1][0] is False
+    assert results[1][1][3] == ("plane ('s', 't') row 3: frontier cell m=3541774862152233910272, "
+                                "rule (s,a,0,s) unanswered")
+    assert results[2][0] is ResourceGuardError
+    assert results[3] == (True, [])
+
+
+def test_verification_memory_does_not_grow_with_the_horizon():
+    # Two identity planes of height 500 with periods 400 and 499: a
+    # horizon of 500 + lcm = 200,100 rows, within the guard.
+    net = Socn(states=("s", "t"), actions=("a",),
+               rules=(Rule("s", "a", 1, "s"), Rule("t", "a", 1, "t")))
+    h = 500
+    cert = BeltCertificate(h, {("s", "s"): PlaneBelt("SF", list(range(h)), period=(400, 400)),
+                               ("t", "t"): PlaneBelt("SF", list(range(h)), period=(499, 499))})
+    tracemalloc.start()
+    try:
+        with time_limit(2.0):
+            assert verify_certificate_explain(net, cert) == (True, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One block of rows at a time (0.7 MB); the horizon's rows times the
+    # two planes as int64 alone would take 3.2 MB.
+    assert peak < 2 ** 20, peak
+
+
+def raised_and_lowered(rng, cert):
+    """Mutants of a verified certificate, by kind: a frontier suffix
+    raised, px raised, a VF level raised, an HF inf_from lowered (the
+    claims grow), and a frontier suffix lowered (the claim shrinks)."""
+    out = []
+    for plane, belt in cert.planes.items():
+        def mutant(kind):
+            bad = copy.deepcopy(cert)
+            out.append((kind, bad))
+            return bad.planes[plane]
+        if belt.base:
+            i = rng.randrange(len(belt.base))
+            b = mutant("raise")
+            b.base[i:] = [v + 1 for v in b.base[i:]]
+            b = mutant("lower")
+            b.base[i:] = [max(v - 1, -1) for v in b.base[i:]]
+        if belt.kind == "SF":
+            b = mutant("raise")
+            b.period = (b.period[0] + 1, b.period[1])
+        if belt.kind == "VF":
+            b = mutant("raise")
+            i = rng.randrange(len(b.base) // 2, len(b.base))
+            b.base[i:] = [v + 1 for v in b.base[i:]]
+        if belt.kind == "HF" and belt.inf_from > 0:
+            b = mutant("raise")
+            b.inf_from -= 1
+            b.base.pop()
+    return out
+
+
+def test_verified_mutants_of_certificates_are_sound():
+    # Every certificate that verifies claims only simulated cells: on
+    # [0, 24)^2 no covered cell has an attacker rank <= 48.  The white
+    # ranks of color_planes(net, 48, 24) are those ranks on that square
+    # (the ranks _query_rank finds with budget 48); a covered cell's row
+    # is checked at its rightmost covered cell, which has the least rank.
+    rng = random.Random(3)
+    tally = collections.Counter()
+    with time_limit(30.0):
+        for i in range(400):
+            net = random_unary_net(rng, 3, 6) if i % 2 else random_succinct_net(rng, 3, 5, 2)
+            decision = certify_colorings(net, color_planes(net, 16, 8))
+            if decision.kind != "yes":
+                continue
+            exact = color_planes(net, 48, 24)
+            for kind, cert in [("original", decision.certificate)] + raised_and_lowered(
+                    rng, decision.certificate):
+                try:
+                    ok = verify_certificate_explain(net, cert)[0]
+                except (MalformedCertificateError, ResourceGuardError):
+                    ok = None
+                tally[kind, ok] += 1
+                if not ok:
+                    continue
+                for (p, q), col in exact.items():
+                    for n in range(24):
+                        f = cert.frontier_at((p, q), n)
+                        if f == -1:
+                            continue
+                        m = 23 if f == INF else min(f, 23)
+                        assert col.rank(m, n) is None, (kind, net, cert, p, m, q, n)
+                        if kind == "raise":
+                            assert _query_rank(net, p, m, q, n, 48, 10 ** 6) is None
+    assert tally["original", True] > 350 and tally["lower", True] > 300, tally
+    assert tally["raise", False] > 1000, tally

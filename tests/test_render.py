@@ -1,10 +1,11 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
 from ocn_gamelab import (PlaneColoring, RenderError, RenderSpec, ResourceGuardError, Rule,
-                         Socn, classify_and_fit, color_planes, fit_summary,
+                         Socn, belt_periods, classify_and_fit, color_planes, fit_summary,
                          frontier, rank_matrix, render_all, render_plane)
 from ocn_gamelab.ocnsim import DEFAULT_CELL_BUDGET
 from ocn_gamelab.render import SVG_CELLS
@@ -176,3 +177,28 @@ def test_rendering_is_deterministic(tmp_path):
         with open(os.path.join(a, name), "rb") as fa, \
                 open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def test_render_all_of_the_drain_net_is_byte_identical(tmp_path):
+    # The README net at view 48: SHA-256 of every file render_all writes,
+    # in name order, pinned when the SVG rows were first built from
+    # per-column pieces instead of one string per cell.
+    net = Socn(states=("p", "p1", "q", "q1"), actions=("a", "b"),
+               rules=(Rule("p", "a", -1, "p1"), Rule("p1", "b", 0, "p"),
+                      Rule("q", "a", -1, "q1"), Rule("q1", "b", -1, "q")))
+    cols = color_planes(net, 96, 48)
+    fits, _ = belt_periods(cols)
+    golden = {
+        ("svg", 1, False, True): "a36369ece17efa4a386d0dad4061868e38847e9816c7e55d4bb81dbc7c1565ff",
+        ("svg", 3, True, True): "58f335f07e64366f741b97c3b4e10a048f3d4ff702884169a9b0cef4eae9ae78",
+        ("svg", 1, False, False): "94c3228e7dcbe41079c1b32a14a7f178467d74541335a3c3a04e228deb1aa15f",
+        ("pgm", 1, False, True): "23e0d43d1ad5096512db238754388797350fc2d2cda85282454d968622bf9921",
+    }
+    for (fmt, cs, fitted, line), want in golden.items():
+        spec = RenderSpec(format=fmt, cell_size=cs, show_fitted=fitted, show_frontier=line)
+        digest = hashlib.sha256()
+        for path in sorted(render_all(cols, fits, str(tmp_path / f"{fmt}{cs}{fitted}{line}"),
+                                      spec)):
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+        assert digest.hexdigest() == want, (fmt, cs, fitted, line)
