@@ -682,9 +682,6 @@ class _FrontierTable:
         self.base = np.array(flat, dtype=self.dtype)
         self.meta = np.array(meta, dtype=self.dtype)
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        return np.arange(lo, hi, dtype=self.dtype)
-
     def columns(self, planes: np.ndarray) -> tuple:
         """What :meth:`at` reads of the table planes ``planes``:
         offset, base length, start, px and py, each shaped as ``planes``."""
@@ -890,7 +887,7 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
     per_plane = [[] for _ in checks.sources]
     step = max(1, _BLOCK_CELLS // checks.width)
     for lo in range(0, horizon, step):
-        n = table.rows(lo, min(lo + step, horizon))
+        n = np.arange(lo, min(lo + step, horizon), dtype=table.dtype)
         reads = n + checks.reads
         vals = table.at(checks.columns, np.maximum(reads, 0))
         f = vals[:count][checks.rule_src]  # per attacker rule
@@ -921,25 +918,23 @@ def verify_certificate_explain(net: Socn, cert: BeltCertificate):
             rules = checks.plane_rules[s]
             lines = per_plane[s]
             head = f"plane {checks.sources[s]} row {lo + j}"
+            texts = [f"({ra.frm},{ra.action},{ra.delta},{ra.to})"
+                     for ra in checks.rules[rules.start:rules.stop]]
             fv = f[rules.start, j]
             if fv != inf:
-                lines.extend(f"{head}: frontier cell m={int(fv)}, rule {_rule_text(checks.rules[u])}"
-                             " unanswered" for u in rules if failed[u, j])
+                lines.extend(f"{head}: frontier cell m={int(fv)}, rule {text} unanswered"
+                             for u, text in zip(rules, texts) if failed[u, j])
                 continue
             firsts = [int(first[u, j]) for u in rules]
             start = min((x for x in firsts if x <= dmax), default=dmax + 1)
             for m in range(start, dmax + 1):
-                lines.extend(f"{head}: infinite row, m={m}, rule {_rule_text(checks.rules[u])}"
-                             " unanswered" for u, x in zip(rules, firsts) if m >= x)
-            lines.extend(f"{head}: infinite row, large m, rule {_rule_text(checks.rules[u])} "
+                lines.extend(f"{head}: infinite row, m={m}, rule {text} unanswered"
+                             for x, text in zip(firsts, texts) if m >= x)
+            lines.extend(f"{head}: infinite row, large m, rule {text} "
                          "has no response into an infinite row"
-                         for u in rules if not answered[u, j])
+                         for u, text in zip(rules, texts) if not answered[u, j])
     failures = [line for lines in per_plane for line in lines]
     return not failures, failures
-
-
-def _rule_text(rule) -> str:
-    return f"({rule.frm},{rule.action},{rule.delta},{rule.to})"
 
 
 # ---------------------------------------------------------------------------

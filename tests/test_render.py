@@ -188,11 +188,15 @@ def test_render_all_of_the_drain_net_is_byte_identical(tmp_path):
                       Rule("q", "a", -1, "q1"), Rule("q1", "b", -1, "q")))
     cols = color_planes(net, 96, 48)
     fits, _ = belt_periods(cols)
-    golden = {
-        ("svg", 1, False, True): "a36369ece17efa4a386d0dad4061868e38847e9816c7e55d4bb81dbc7c1565ff",
-        ("svg", 3, True, True): "58f335f07e64366f741b97c3b4e10a048f3d4ff702884169a9b0cef4eae9ae78",
-        ("svg", 1, False, False): "94c3228e7dcbe41079c1b32a14a7f178467d74541335a3c3a04e228deb1aa15f",
-        ("pgm", 1, False, True): "23e0d43d1ad5096512db238754388797350fc2d2cda85282454d968622bf9921",
+    golden = {  # (format, cell size, fitted lines, frontier line): SHA-256
+        ("svg", 1, False, True):
+            "a36369ece17efa4a386d0dad4061868e38847e9816c7e55d4bb81dbc7c1565ff",
+        ("svg", 3, True, True):
+            "58f335f07e64366f741b97c3b4e10a048f3d4ff702884169a9b0cef4eae9ae78",
+        ("svg", 1, False, False):
+            "94c3228e7dcbe41079c1b32a14a7f178467d74541335a3c3a04e228deb1aa15f",
+        ("pgm", 1, False, True):
+            "23e0d43d1ad5096512db238754388797350fc2d2cda85282454d968622bf9921",
     }
     for (fmt, cs, fitted, line), want in golden.items():
         spec = RenderSpec(format=fmt, cell_size=cs, show_fitted=fitted, show_frontier=line)
