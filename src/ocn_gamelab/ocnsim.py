@@ -628,11 +628,11 @@ _BLOCK_CELLS = 1 << 13
 class _FrontierTable:
     """The extended frontiers of a certificate's planes, as arrays.
 
-    ``base`` holds the base values of ``planes[0]``, ``planes[1]``, ...
-    one after another, each followed by one pad value: ``inf`` for an HF
-    plane, which is infinite from inf_from on, and the last value
-    otherwise.  A last plane of one value, -1, stands for every plane
-    without a belt.  Row i of ``meta`` holds, for plane i, its offset
+    ``base`` holds the base values of the certificate's planes, in its
+    order, one after another, each followed by one pad value: ``inf``
+    for an HF plane, which is infinite from inf_from on, and the last
+    value otherwise.  A last plane of one value, -1, stands for every
+    plane without a belt.  Row i of ``meta`` holds, for plane i, its offset
     into ``base``, its base length, the row from which it steps through
     its period (SF by (px, py), VF by (0, 1), which repeats its last
     value; HF and missing planes never do, ``inf``), and px and py.
@@ -650,29 +650,27 @@ class _FrontierTable:
     ``inf`` is a power of two above that bound.
     """
 
-    def __init__(self, cert: BeltCertificate, planes: list, dmax: int):
+    def __init__(self, cert: BeltCertificate, dmax: int):
         h = self.height = cert.height
-        self.planes, self.regimes, self.bases = planes, {}, []
+        self.regimes = {}
         flat, meta = [], []
-        for i, plane in enumerate(planes):
-            b = cert.planes[plane]
-            self.bases.append(b.base)
+        for i, (plane, b) in enumerate(cert.planes.items()):
             if b.kind == "SF":
                 period, stab, start, pad = b.period, h - b.period[1], h, b.base[-1]
             elif b.kind == "VF":
                 period, stab, start, pad = (0, 1), h - 1, h, b.base[-1]
             else:  # the start and the pad become inf once it is known
-                period, stab, start, pad = (0, 1), b.inf_from, None, None
+                period, stab, start, pad = (0, 1), b.inf_from, None, -1
             self.regimes[plane] = (i, stab, period)
             meta.append([len(flat), len(b.base), start, *period])
             flat += b.base
             flat.append(pad)
-        self.outside = (len(planes), 0, (0, 1))
+        self.outside = (len(meta), 0, (0, 1))
         meta.append([len(flat), 0, None, 0, 1])
         flat.append(-1)
         self.lcm = math.lcm(*(row[4] for row in meta))
-        bound = (max(map(max, filter(None, self.bases)), default=0)
-                 + (h + self.lcm + dmax + 1) * (max(row[3] for row in meta) + 1) + dmax + 2)
+        bound = (max(flat) + (h + self.lcm + dmax + 1) * (max(row[3] for row in meta) + 1)
+                 + dmax + 2)
         inf = self.inf = 1 << max(62, bound.bit_length())
         self.dtype = np.int64 if inf == 1 << 62 else object
         for row in meta[:-1]:
@@ -697,25 +695,16 @@ class _FrontierTable:
         col += offset
         return self.base.take(col.astype(np.intp, copy=False)) + k * px
 
-    def first_decreases(self) -> dict:
-        """Per plane that has one, the first row n where its extended
-        frontier is below row n - 1: one comparison of each base with
-        itself shifted by a row, walked only to name the row.  Past the
-        base, an SF frontier repeats the base's last period shifted by
-        px, so it decreases there exactly when it does at the seam, row
-        H; a VF one repeats its last value and an HF one is infinite."""
-        found, h = {}, self.height
-        for i, (base, (_, _, (px, py))) in enumerate(zip(self.bases, self.regimes.values())):
-            if not all(map(operator.le, base, base[1:])):
-                found[i] = next(n for n in range(1, len(base)) if base[n] < base[n - 1])
-            elif px and base[h - py] + px < base[h - 1]:
-                found[i] = h
-        return found
 
-
-def _shape_fault(states: set, h: int, plane: tuple, belt: PlaneBelt) -> str | None:
-    """The first fault of one plane's states, kind, base length or
-    period, or None."""
+def _belt_fault(states: set, h: int, plane: tuple, belt: PlaneBelt) -> str | None:
+    """The first fault of one plane's belt, or None: its states, kind,
+    base length, period, frontier values (integers >= -1, checked in
+    bulk and walked only to name a bad one), and the dominance closure.
+    The extended frontier must be nondecreasing: one comparison of the
+    base with itself shifted by a row, walked only to name the row.
+    Past the base an SF frontier repeats the base's last period shifted
+    by px, so it decreases there exactly when it does at the seam, row
+    H; a VF one repeats its last value and an HF one is infinite."""
     p, q = plane
     if p not in states or q not in states:
         return f"plane {plane} references unknown states"
@@ -734,47 +723,30 @@ def _shape_fault(states: set, h: int, plane: tuple, belt: PlaneBelt) -> str | No
             return f"plane {plane}: period must be positive"
         if belt.period[1] > h:
             return f"plane {plane}: base too small to contain one full period"
+    base = belt.base
+    if set(map(type, base)) - {int} or min(base, default=0) < -1:
+        bad = next((v for v in base if not isinstance(v, int) or v < -1), None)
+        if bad is not None:
+            return f"plane {plane}: bad frontier value {bad!r}"
+    if not all(map(operator.le, base, base[1:])):
+        n = next(n for n in range(1, len(base)) if base[n] < base[n - 1])
+        return f"plane {plane}: frontier decreases at row {n}"
+    if belt.kind == "SF" and base[h - belt.period[1]] + belt.period[0] < base[h - 1]:
+        return f"plane {plane}: frontier decreases at row {h}"
     return None
 
 
 def _validate_certificate(net: Socn, cert: BeltCertificate) -> _FrontierTable:
-    """Check the certificate's shape and return its frontier table.
-
-    Per plane, in the certificate's order, the first fault of: states,
-    kind, base length, period, frontier values (integers >= -1), and the
-    dominance closure (the extended frontier must be nondecreasing).
-    The shape checks run plane by plane up to the first fault; the
-    values of the planes before it are checked in bulk, and walked only
-    to name a bad one; the dominance closure of the planes before the
-    first fault runs on their table, so a decrease in an earlier plane
-    is named before a later plane's other fault.
-    """
+    """Check the certificate's shape, plane by plane in its order, and
+    return its frontier table; raises on the first fault."""
     states = set(net.states)
     if not isinstance(cert.height, int) or cert.height < 1:
         raise MalformedCertificateError("height must be a positive integer")
-    fault, planes = None, []
     for plane, belt in cert.planes.items():
-        fault = _shape_fault(states, cert.height, plane, belt)
+        fault = _belt_fault(states, cert.height, plane, belt)
         if fault is not None:
-            break
-        planes.append(plane)
-    values = list(itertools.chain.from_iterable(cert.planes[plane].base for plane in planes))
-    if set(map(type, values)) - {int} or min(values, default=0) < -1:
-        for i, plane in enumerate(planes):
-            bad = next((v for v in cert.planes[plane].base
-                        if not isinstance(v, int) or v < -1), None)
-            if bad is not None:
-                fault, planes = f"plane {plane}: bad frontier value {bad!r}", planes[:i]
-                break
-    table = _FrontierTable(cert, planes, net.max_delta)
-    decreases = table.first_decreases()
-    if decreases:
-        i = min(decreases)
-        raise MalformedCertificateError(
-            f"plane {planes[i]}: frontier decreases at row {decreases[i]}")
-    if fault is not None:
-        raise MalformedCertificateError(fault)
-    return table
+            raise MalformedCertificateError(fault)
+    return _FrontierTable(cert, net.max_delta)
 
 
 class _ResponseTriples:
